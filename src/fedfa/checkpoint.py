@@ -18,6 +18,7 @@ save/load round trip preserves it.
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -47,24 +48,30 @@ def encode(tensors: dict[str, np.ndarray]) -> bytes:
 def decode(blob: bytes) -> dict[str, np.ndarray]:
     if blob[:4] != MAGIC:
         raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    off = 4
+
+    def span(n: int, what: str) -> int:
+        """Start of the next n bytes, which hold ``what``; moves past them."""
+        nonlocal off
+        if off + n > len(blob):
+            raise ValueError(f"truncated checkpoint: {what} needs {n} bytes "
+                             f"at offset {off}, but the blob ends at {len(blob)}")
+        off += n
+        return off - n
+
+    (version,) = struct.unpack_from("<I", blob, span(4, "version"))
     if version != VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     tensors: dict[str, np.ndarray] = {}
-    off = 8
-    total = len(blob)
-    while off < total:
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-        off += 8 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        off += 8 * count
+    while off < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, span(4, "name length"))
+        start = span(name_len, "name")
+        name = blob[start:off].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", blob, span(4, f"rank of {name!r}"))
+        dims = struct.unpack_from(f"<{rank}Q", blob, span(8 * rank, f"dims of {name!r}"))
+        count = math.prod(dims)
+        arr = np.frombuffer(blob, dtype="<f8", count=count,
+                            offset=span(8 * count, f"payload of {name!r}"))
         tensors[name] = arr.reshape(dims).astype(np.float64)
     return tensors
 

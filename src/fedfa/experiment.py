@@ -14,7 +14,8 @@ from .augment import FfaConfig, augment, variant_variances
 from .config import DatasetConfig, ExperimentConfig
 from .federation import (ClientState, LocalResult, RoundConfig, ServerState,
                          run_round)
-from .layers import ConvNet, default_net_spec, init_params, softmax_cross_entropy
+from .layers import (ConvNet, default_net_spec, infer_logits, init_params,
+                     softmax_cross_entropy)
 from .optim import Sgd
 from .rng import stream
 from .stats import batch_variances, channel_stats, momentum_update
@@ -129,10 +130,9 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
 
 def evaluate(params: dict[str, np.ndarray], net_spec, x: np.ndarray,
              y: np.ndarray, chunk: int = 512) -> float:
-    net = ConvNet(net_spec, {k: Tensor(v) for k, v in params.items()})
     hits = 0
     for start in range(0, x.shape[0], chunk):
-        pred = net.predict(x[start:start + chunk])
+        pred = infer_logits(net_spec, params, x[start:start + chunk]).argmax(axis=1)
         hits += int((pred == y[start:start + chunk]).sum())
     return hits / x.shape[0]
 

@@ -22,9 +22,6 @@ from .rng import stream
 
 log = logging.getLogger("fedfa")
 
-FLOAT_BYTES = 8  # statistics travel as float64 vectors
-
-
 class ClientTrainingError(RuntimeError):
     """Raised by a local-training function to simulate a client failure."""
 
@@ -170,7 +167,8 @@ def run_round(server: ServerState, clients: list[ClientState],
     selected = select_clients(len(clients), cfg.participation, cfg.seed, round_index)
 
     param_bytes = len(checkpoint.encode(server.params))
-    stat_bytes = 2 * sum(server.stat_channels) * FLOAT_BYTES if cfg.exchange_stats else 0
+    # statistics travel as float64; each direction carries half the exchange
+    stat_bytes = comm_cost(server.stat_channels, 8) // 2 if cfg.exchange_stats else 0
 
     results: list[tuple[ClientState, LocalResult]] = []
     train_loss: dict[int, float] = {}

@@ -4,55 +4,116 @@ The feature extractor is a sequence of conv stages (conv, relu, optional
 2x2 max-pool). After each stage an optional per-stage hook runs, which is
 where stochastic feature augmentation plugs in. The classifier head is a
 single linear layer on the flattened final feature map.
+
+Convolution and pooling are plain-numpy kernels (``_conv_forward``,
+``_pool_forward``) shared by two callers: the autodiff ops ``conv2d`` and
+``maxpool2x2``, which add backward closures, and the graph-free inference
+path ``infer_logits``/``ConvNet.predict``, which builds no Tensors. Both
+run the same arithmetic, so predictions equal the argmax of the training
+forward bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import Tensor
 
 
-# ---- functional ops ---------------------------------------------------------
+# ---- kernels on raw arrays --------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
-    # xp is already padded; returns [B*Ho*Wo, C*kh*kw]
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    b, c, ho, wo = windows.shape[:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), (ho, wo)
+@functools.cache
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  padding: int) -> tuple[np.ndarray, int, int]:
+    """Flat gather index into a per-sample row of C*H*W values plus one
+    trailing zero, ordered (Ho, Wo, C, kh, kw); taps that fall in the
+    padding point at the zero. Read-only, because the cache shares it."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    if ho <= 0 or wo <= 0:
+        raise ValueError(
+            f"conv2d: {kh}x{kw} kernel does not fit a {h}x{w} input "
+            f"with padding {padding}"
+        )
+    rows = (np.arange(ho)[:, None, None, None, None] * stride
+            + np.arange(kh)[:, None] - padding)
+    cols = (np.arange(wo)[:, None, None, None] * stride
+            + np.arange(kw) - padding)
+    chan = np.arange(c)[:, None, None]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, chan * (h * w) + rows * w + cols, c * h * w).ravel()
+    idx.flags.writeable = False
+    return idx, ho, wo
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """Unpadded x [B,C,H,W] -> [B*Ho*Wo, C*kh*kw] patch rows, one gather."""
+    b, c, h, w = x.shape
+    idx, ho, wo = _im2col_index(c, h, w, kh, kw, stride, padding)
+    rows = np.concatenate((x.reshape(b, c * h * w), np.zeros((b, 1))), axis=1)
+    cols = np.take(rows, idx, axis=1).reshape(b * ho * wo, c * kh * kw)
+    return cols, (ho, wo)
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                  stride: int, padding: int):
+    """Returns the [B,Cout,Ho,Wo] output and the im2col matrix."""
+    b, cin = x.shape[:2]
+    cout, cin_w, kh, kw = weight.shape
+    if cin != cin_w:
+        raise ValueError(
+            f"conv2d: input has {cin} channels, weight expects {cin_w}"
+        )
+    cols, (ho, wo) = _im2col(x, kh, kw, stride, padding)
+    out_flat = cols @ weight.reshape(cout, -1).T + bias
+    return out_flat.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2), cols
+
+
+# window offsets in argmax order: on ties the first of these wins
+_POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _pool_forward(x: np.ndarray) -> np.ndarray:
+    """2x2 max with stride 2 into a C-contiguous [B,C,H/2,W/2] array.
+
+    np.maximum returns its second operand on ties, so the taps are folded
+    in reverse to keep the first maximum (the one argmax would pick; this
+    only shows on signed zeros). The output is made C-contiguous on
+    purpose: hooks reduce it over (H, W), and a different memory layout
+    changes the summation order and thus the low bits of those statistics.
+    """
+    b, c, h, w = x.shape
+    if h % 2 or w % 2:
+        raise ValueError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
+    x11, x10, x01, x00 = (x[:, :, i::2, j::2] for i, j in reversed(_POOL_TAPS))
+    out = np.maximum(x11, x10, out=np.empty((b, c, h // 2, w // 2)))
+    np.maximum(out, x01, out=out)
+    return np.maximum(out, x00, out=out)
+
+
+# ---- autodiff ops -----------------------------------------------------------
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
     """2-D convolution. x: [B,Cin,H,W]; weight: [Cout,Cin,kh,kw]; bias: [Cout]."""
     b, cin, h, w = x.shape
-    cout, cin_w, kh, kw = weight.shape
-    if cin != cin_w:
-        raise ValueError(
-            f"conv2d: input has {cin} channels, weight expects {cin_w}"
-        )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols, (ho, wo) = _im2col(xp, kh, kw, stride)
-    wmat = weight.data.reshape(cout, -1)
-    out_flat = cols @ wmat.T + bias.data
-    out = Tensor(
-        out_flat.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2),
-        (x, weight, bias),
-    )
+    cout, _, kh, kw = weight.shape
+    out_data, cols = _conv_forward(x.data, weight.data, bias.data, stride, padding)
+    out = Tensor(out_data, (x, weight, bias))
+    ho, wo = out_data.shape[2:]
 
     def back(g):
         gm = g.transpose(0, 2, 3, 1).reshape(-1, cout)
         weight._accumulate((gm.T @ cols).reshape(weight.shape))
         bias._accumulate(gm.sum(axis=0))
-        gcols = gm @ wmat
+        gcols = gm @ weight.data.reshape(cout, -1)
         g6 = gcols.reshape(b, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros_like(xp)
+        gxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i:i + stride * ho:stride,
@@ -67,20 +128,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2. Requires even spatial dims."""
-    b, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    ho, wo = h // 2, w // 2
-    xr = x.data.reshape(b, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    xr = xr.reshape(b, c, ho, wo, 4)
-    idx = xr.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0], (x,))
+    pooled = _pool_forward(x.data)
+    out = Tensor(pooled, (x,))
 
     def back(g):
-        gr = np.zeros((b, c, ho, wo, 4))
-        np.put_along_axis(gr, idx[..., None], g[..., None], axis=-1)
-        gx = gr.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        x._accumulate(gx.reshape(b, c, h, w))
+        # route each window's gradient to its first maximum, as argmax would;
+        # the closure holds the array, not out, so it makes no reference cycle
+        gx = np.zeros(x.shape)
+        free = np.ones(pooled.shape, dtype=bool)
+        for i, j in _POOL_TAPS[:-1]:
+            hit = free & (x.data[:, :, i::2, j::2] == pooled)
+            np.copyto(gx[:, :, i::2, j::2], g, where=hit)
+            free &= ~hit
+        i, j = _POOL_TAPS[-1]
+        np.copyto(gx[:, :, i::2, j::2], g, where=free)
+        x._accumulate(gx)
 
     out._backward = back
     return out
@@ -193,7 +255,6 @@ class Tape:
 
     inputs: Tensor
     stage_outputs: list[Tensor] = field(default_factory=list)
-    hooked_outputs: list[Tensor] = field(default_factory=list)
     logits: Tensor | None = None
 
 
@@ -213,6 +274,24 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, Tensor]:
     params["head.weight"] = Tensor(rng.uniform(-bound, bound, size=(d, spec.classes)))
     params["head.bias"] = Tensor(np.zeros(spec.classes))
     return params
+
+
+def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
+                 x: np.ndarray) -> np.ndarray:
+    """Hook-free forward pass on raw arrays: the logits ``ConvNet.forward``
+    computes, bit for bit, with no Tensors or backward closures."""
+    out = np.asarray(x, dtype=np.float64)
+    if out.ndim != 4:
+        raise ValueError(f"expected input [B,C,H,W], got shape {out.shape}")
+    for i, s in enumerate(spec.stages):
+        out, _ = _conv_forward(out, params[f"conv{i}.weight"],
+                               params[f"conv{i}.bias"], s.stride, s.padding)
+        if s.relu:
+            out = np.maximum(out, 0.0)
+        if s.pool:
+            out = _pool_forward(out)
+    flat = out.reshape(out.shape[0], -1)
+    return flat @ params["head.weight"] + params["head.bias"]
 
 
 class ConvNet:
@@ -252,7 +331,6 @@ class ConvNet:
             tape.stage_outputs.append(out)
             if hooks is not None and i < len(hooks) and hooks[i] is not None:
                 out = hooks[i](out)
-            tape.hooked_outputs.append(out)
         b = out.shape[0]
         flat = out.reshape(b, -1)
         logits = linear(flat, self.params["head.weight"], self.params["head.bias"])
@@ -260,8 +338,9 @@ class ConvNet:
         return logits, tape
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(Tensor(x))
-        return logits.data.argmax(axis=1)
+        """Predicted class per sample, without building an autodiff graph."""
+        params = {k: p.data for k, p in self.params.items()}
+        return infer_logits(self.spec, params, x).argmax(axis=1)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

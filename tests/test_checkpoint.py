@@ -69,3 +69,14 @@ def test_non_contiguous_input_ok():
     arr = np.arange(12, dtype=float).reshape(3, 4).T  # transposed view
     back = checkpoint.decode(checkpoint.encode({"t": arr}))
     assert np.array_equal(back["t"], arr)
+
+
+_ONE_TENSOR = checkpoint.encode({"w": np.array([[1.0, 2.0]])})
+
+
+@pytest.mark.parametrize("cut,offset", [(6, 4), (10, 8), (14, 13), (20, 17),
+                                        (len(_ONE_TENSOR) - 5, 33)])
+def test_truncated_blob_names_the_offset(cut, offset):
+    # cuts fall in the version, name length, rank, dims and payload fields
+    with pytest.raises(ValueError, match=rf"truncated checkpoint: .* at offset {offset},"):
+        checkpoint.decode(_ONE_TENSOR[:cut])

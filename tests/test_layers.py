@@ -1,10 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fedfa.layers import (ConvNet, NetSpec, StageSpec, channel_mean_std,
                           conv2d, default_net_spec, global_avg_pool,
-                          init_params, linear, maxpool2x2, softmax,
-                          softmax_cross_entropy)
+                          infer_logits, init_params, linear, maxpool2x2,
+                          softmax, softmax_cross_entropy)
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
 
@@ -53,6 +56,52 @@ def test_conv2d_grads(stride, padding):
                 (conv2d(tx, tw, tb, stride, padding) * r).sum(), [x, w, b])
 
 
+def conv2d_im2col_reference(x, w, b, stride, padding, g):
+    """Pad, window with sliding_window_view, GEMM; then col2im backward.
+    Returns (out, dx, dw, db) for upstream gradient g."""
+    bs, cin, h, ww = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = win.shape[2:4]
+    cols = np.ascontiguousarray(
+        win.transpose(0, 2, 3, 1, 4, 5).reshape(bs * ho * wo, cin * kh * kw))
+    wmat = w.reshape(cout, -1)
+    out = (cols @ wmat.T + b).reshape(bs, ho, wo, cout).transpose(0, 3, 1, 2)
+    gm = g.transpose(0, 2, 3, 1).reshape(-1, cout)
+    g6 = (gm @ wmat).reshape(bs, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
+    dx = gxp[:, :, padding:padding + h, padding:padding + ww]
+    return out, dx, (gm.T @ cols).reshape(w.shape), gm.sum(axis=0)
+
+
+@pytest.mark.parametrize("ksize", [1, 3])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_bit_identical_to_padded_window_im2col(stride, padding, ksize):
+    rng = np.random.default_rng(100 * stride + 10 * padding + ksize)
+    x = rng.standard_normal((3, 2, 7, 5))
+    w = rng.standard_normal((4, 2, ksize, ksize))
+    b = rng.standard_normal(4)
+    tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
+    out = conv2d(tx, tw, tb, stride, padding)
+    g = rng.standard_normal(out.shape)
+    out.backward(g)
+    want = conv2d_im2col_reference(x, w, b, stride, padding, g)
+    for got, ref in zip((out.data, tx.grad, tw.grad, tb.grad), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+def test_conv2d_kernel_larger_than_padded_input_rejected():
+    with pytest.raises(ValueError, match="does not fit"):
+        conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5))),
+               Tensor(np.zeros(1)), padding=1)
+
+
 def test_conv2d_channel_mismatch_message():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     w = Tensor(np.zeros((2, 5, 3, 3)))
@@ -75,6 +124,63 @@ def test_maxpool_routes_gradient_to_argmax():
     t = Tensor(x)
     maxpool2x2(t).sum().backward()
     assert np.array_equal(t.grad, [[[[0.0, 0.0], [0.0, 1.0]]]])
+
+
+def maxpool_argmax_reference(x, g):
+    """Gather through argmax over the four taps; returns (out, dx)."""
+    b, c, h, w = x.shape
+    xr = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    xr = xr.reshape(b, c, h // 2, w // 2, 4)
+    idx = xr.argmax(axis=-1)[..., None]
+    gr = np.zeros(xr.shape)
+    np.put_along_axis(gr, idx, g[..., None], axis=-1)
+    dx = gr.reshape(b, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return np.take_along_axis(xr, idx, axis=-1)[..., 0], dx.reshape(x.shape)
+
+
+def test_maxpool_bit_identical_to_argmax_gather_with_ties():
+    rng = np.random.default_rng(36)
+    # few distinct values, signed zeros included, so most windows tie
+    x = rng.choice([-1.0, -0.0, 0.0, 2.0], size=(3, 4, 6, 8))
+    g = rng.standard_normal((3, 4, 3, 4))
+    t = Tensor(x)
+    out = maxpool2x2(t)
+    out.backward(g)
+    want_out, want_dx = maxpool_argmax_reference(x, g)
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(np.signbit(out.data), np.signbit(want_out))
+    assert np.array_equal(t.grad, want_dx)
+
+
+@pytest.mark.parametrize("window", [[-1.0, 0.0, -2.0, -0.5], [1.0, 1.0, 1.0, 1.0]])
+def test_maxpool_tied_window_sends_gradient_to_top_left(window):
+    # through ReLU: the negative window becomes the all-zero tie it produces
+    r = Tensor(np.array(window).reshape(1, 1, 2, 2)).relu()
+    maxpool2x2(r).sum().backward()
+    assert np.array_equal(r.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+def test_maxpool_output_is_c_contiguous():
+    # a transposed (NHWC-in-memory) input, as conv2d produces
+    x = np.random.default_rng(37).standard_normal((2, 4, 4, 3)).transpose(0, 3, 1, 2)
+    assert maxpool2x2(Tensor(x)).data.flags.c_contiguous
+
+
+def test_conv_pool_graph_is_freed_without_the_cycle_collector():
+    # a backward closure that held its own output Tensor would make a cycle,
+    # keeping every training step's graph (im2col matrices included) alive
+    # until the cycle collector runs
+    rng = np.random.default_rng(38)
+    gc.collect()
+    gc.disable()
+    try:
+        x, w, b = (Tensor(rng.standard_normal(s)) for s in
+                   ((2, 3, 4, 4), (4, 3, 3, 3), (4,)))
+        maxpool2x2(conv2d(x, w, b, padding=1).relu()).sum().backward()
+        del x, w, b
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_maxpool_grads():
@@ -243,3 +349,25 @@ def test_end_to_end_network_gradcheck():
         return softmax_cross_entropy(logits, y)
 
     check_grads(loss, arrays)
+
+
+@pytest.mark.parametrize("batch", [1, 32, 513])
+def test_predict_matches_autodiff_forward_exactly(batch):
+    spec = default_net_spec(channels=3, image_size=8, classes=6)
+    params = init_params(spec, stream(5, "init"))
+    net = ConvNet(spec, params)
+    x = np.random.default_rng(batch).standard_normal((batch, 3, 8, 8))
+    logits, _ = net.forward(Tensor(x))
+    arrays = {k: p.data for k, p in params.items()}
+    assert np.array_equal(infer_logits(spec, arrays, x), logits.data)
+    assert np.array_equal(net.predict(x), logits.data.argmax(axis=1))
+
+
+def test_infer_logits_without_pool_matches_forward():
+    spec = NetSpec(stages=(StageSpec(3, 4, pool=False), StageSpec(4, 5, stride=2)),
+                   image_size=8, classes=3)
+    params = init_params(spec, stream(6, "init"))
+    x = np.random.default_rng(7).standard_normal((4, 3, 8, 8))
+    logits, _ = ConvNet(spec, params).forward(Tensor(x))
+    arrays = {k: p.data for k, p in params.items()}
+    assert np.array_equal(infer_logits(spec, arrays, x), logits.data)
