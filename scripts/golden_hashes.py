@@ -1,9 +1,11 @@
-"""Fingerprint the outputs of every shipped config.
+"""Fingerprint the outputs of every shipped config and every algorithm.
 
-Runs each config (default: configs/*.json) in a temporary run root and
-prints one line per config with the sha256 of its metrics.jsonl and
-model.bin. Two checkouts that print the same lines produce byte-identical
-runs, which is the check a behaviour-preserving refactor must pass:
+Runs each config (default: configs/*.json, plus configs/fedfa.json with
+``algorithm`` replaced by each algorithm no shipped config uses) in a
+temporary run root and prints one line per run with the sha256 of its
+metrics.jsonl and model.bin. Two checkouts that print the same lines
+produce byte-identical runs, which is the check a behaviour-preserving
+refactor must pass:
 
     PYTHONPATH=src python3 scripts/golden_hashes.py > before.txt
     # ... change the code ...
@@ -11,12 +13,13 @@ runs, which is the check a behaviour-preserving refactor must pass:
 """
 
 import argparse
+import dataclasses
 import glob
 import hashlib
 import os
 import tempfile
 
-from fedfa.config import ExperimentConfig
+from fedfa.config import ALGORITHMS, ExperimentConfig
 from fedfa.experiment import run_experiment
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -31,16 +34,22 @@ def sha256(path: str) -> str:
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("configs", nargs="*",
-                    default=sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json"))))
+    ap.add_argument("configs", nargs="*")
     args = ap.parse_args()
 
+    paths = args.configs or sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+    runs = [(os.path.splitext(os.path.basename(p))[0], ExperimentConfig.from_json(p))
+            for p in paths]
+    if not args.configs:
+        base = ExperimentConfig.from_json(os.path.join(CONFIG_DIR, "fedfa.json"))
+        covered = {cfg.algorithm for _, cfg in runs}
+        runs += [(f"fedfa[algorithm={a}]", dataclasses.replace(base, algorithm=a))
+                 for a in ALGORITHMS if a not in covered]
+
     with tempfile.TemporaryDirectory() as tmp:
-        for path in args.configs:
-            label = os.path.splitext(os.path.basename(path))[0]
-            # one run root per config: configs may share a run name
-            run_dir = run_experiment(ExperimentConfig.from_json(path),
-                                     run_root=os.path.join(tmp, label))
+        for i, (label, cfg) in enumerate(runs):
+            # one run root per run: configs may share a run name
+            run_dir = run_experiment(cfg, run_root=os.path.join(tmp, str(i)))
             print(f"{label}  metrics.jsonl {sha256(os.path.join(run_dir, 'metrics.jsonl'))}"
                   f"  model.bin {sha256(os.path.join(run_dir, 'model.bin'))}")
 

@@ -186,8 +186,6 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids,
     for r in range(1, cfg.rounds + 1):
         report = run_round(server, clients, r, round_cfg, train_fn)
         accs, mean = _eval_round(server, net_spec, ds, eval_ids)
-        report.eval_acc = accs
-        report.mean_eval_acc = mean
         sel_ids = [clients[i].client_id for i in report.selected]
         records.append({
             "round": r,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint
-from .augment import FfaConfig, ModulationCoefficients, modulate
+from .augment import ModulationCoefficients, modulate
 from .stats import MomentumStats
 from .rng import stream
 
@@ -30,9 +30,8 @@ class ClientTrainingError(RuntimeError):
 class ClientState:
     client_id: int
     data: object  # ClientData; opaque here
-    params: dict | None = None  # Tensor replica, rebuilt each round
+    params: dict | None = None  # copy of the global params, rebuilt each round
     momentum: list[MomentumStats] = field(default_factory=list)
-    ffa: FfaConfig | None = None
 
 
 @dataclass
@@ -49,8 +48,6 @@ class RoundReport:
     round_index: int
     selected: list[int]
     train_loss: dict[int, float]
-    eval_acc: dict[int, float] = field(default_factory=dict)
-    mean_eval_acc: float | None = None
     uplink_bytes_per_client: int = 0
     downlink_bytes_per_client: int = 0
     uplink_bytes: int = 0

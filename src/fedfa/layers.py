@@ -11,6 +11,13 @@ Convolution and pooling are plain-numpy kernels (``_conv_forward``,
 path ``infer_logits``/``ConvNet.predict``, which builds no Tensors. Both
 run the same arithmetic, so predictions equal the argmax of the training
 forward bit for bit.
+
+In training, ``ConvNet.forward`` hands the first conv the raw input array:
+``conv2d`` treats an ndarray as a constant, so no input gradient is
+computed. For Tensor inputs the conv backward scatters patch gradients
+back with ``_col2im``, one ``np.bincount`` over a cached tap-major index,
+which sums each pixel's taps in the same order as a zero-filled buffer
+with one strided ``+=`` per tap, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +66,38 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     return cols, (ho, wo)
 
 
+@functools.cache
+def _col2im_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  padding: int) -> tuple[np.ndarray, int, int]:
+    """``_im2col_index`` reordered tap-major (kh, kw, Ho, Wo, C): the
+    order in which ``_col2im`` adds each pixel's taps. Independent of the
+    batch size; read-only, because the cache shares it."""
+    idx, ho, wo = _im2col_index(c, h, w, kh, kw, stride, padding)
+    taps = idx.reshape(ho, wo, c, kh, kw).transpose(3, 4, 0, 1, 2).ravel()
+    taps.flags.writeable = False
+    return taps, ho, wo
+
+
+def _col2im(gcols: np.ndarray, shape: tuple[int, int, int, int], kh: int,
+            kw: int, stride: int, padding: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: sums [B*Ho*Wo, C*kh*kw] patch gradients
+    back into an unpadded [B,C,H,W] array with one ``np.bincount``.
+
+    bincount adds its weights in order of occurrence, starting from +0.0.
+    With the tap-major index, each pixel sums its taps in (kh, kw) order,
+    exactly as a zero-filled buffer with one ``+=`` per tap would, signed
+    zeros included."""
+    b, c, h, w = shape
+    idx, ho, wo = _col2im_index(c, h, w, kh, kw, stride, padding)
+    # sample s scatters into its own row of C*H*W bins plus a trailing bin
+    # for the padding taps, which is dropped
+    row = c * h * w + 1
+    bins = np.add.outer(np.arange(0, b * row, row), idx).ravel()
+    taps = gcols.reshape(b, ho, wo, c, kh, kw).transpose(0, 4, 5, 1, 2, 3)
+    acc = np.bincount(bins, taps.ravel(), minlength=b * row)
+    return acc.reshape(b, row)[:, :-1].reshape(shape)
+
+
 def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                   stride: int, padding: int):
     """Returns the [B,Cout,Ho,Wo] output and the im2col matrix."""
@@ -98,29 +137,25 @@ def _pool_forward(x: np.ndarray) -> np.ndarray:
 # ---- autodiff ops -----------------------------------------------------------
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           padding: int = 0) -> Tensor:
-    """2-D convolution. x: [B,Cin,H,W]; weight: [Cout,Cin,kh,kw]; bias: [Cout]."""
-    b, cin, h, w = x.shape
+def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution. x: [B,Cin,H,W]; weight: [Cout,Cin,kh,kw]; bias: [Cout].
+
+    A raw ndarray x is a constant: it gets no gradient, so the backward
+    pass skips the col2im."""
+    xt = x if isinstance(x, Tensor) else None
+    xd = x.data if xt is not None else np.asarray(x, dtype=np.float64)
     cout, _, kh, kw = weight.shape
-    out_data, cols = _conv_forward(x.data, weight.data, bias.data, stride, padding)
-    out = Tensor(out_data, (x, weight, bias))
-    ho, wo = out_data.shape[2:]
+    out_data, cols = _conv_forward(xd, weight.data, bias.data, stride, padding)
+    out = Tensor(out_data, (weight, bias) if xt is None else (xt, weight, bias))
 
     def back(g):
         gm = g.transpose(0, 2, 3, 1).reshape(-1, cout)
         weight._accumulate((gm.T @ cols).reshape(weight.shape))
         bias._accumulate(gm.sum(axis=0))
-        gcols = gm @ weight.data.reshape(cout, -1)
-        g6 = gcols.reshape(b, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        gxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * ho:stride,
-                    j:j + stride * wo:stride] += g6[:, :, i, j]
-        if padding:
-            gxp = gxp[:, :, padding:padding + h, padding:padding + w]
-        x._accumulate(gxp)
+        if xt is not None:
+            gcols = gm @ weight.data.reshape(cout, -1)
+            xt._accumulate(_col2im(gcols, xd.shape, kh, kw, stride, padding))
 
     out._backward = back
     return out
@@ -253,7 +288,6 @@ def default_net_spec(channels: int = 3, image_size: int = 8,
 class Tape:
     """Forward record: activations at each hook site plus the logits."""
 
-    inputs: Tensor
     stage_outputs: list[Tensor] = field(default_factory=list)
     logits: Tensor | None = None
 
@@ -314,8 +348,9 @@ class ConvNet:
             raise ValueError(
                 f"{len(hooks)} hooks for {len(self.spec.stages)} stages"
             )
-        tape = Tape(inputs=x)
-        out = x
+        tape = Tape()
+        # the input is a constant: the first conv computes no gradient for it
+        out = x.data
         for i, s in enumerate(self.spec.stages):
             out = conv2d(
                 out,

@@ -64,8 +64,13 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # no zero fill, and data's memory layout rather than g's (which
+            # g + 0.0 or g.copy() would keep): conv outputs are NHWC in
+            # memory, and the layout sets the summation order of later
+            # reductions over this gradient
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this node. Scalar nodes default to seed 1."""
@@ -175,12 +180,14 @@ class Tensor:
 
     def sqrt(self):
         out = Tensor(np.sqrt(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * 0.5 / out.data)
+        y = out.data  # not out: a closure holding out would be a cycle
+        out._backward = lambda g: self._accumulate(g * 0.5 / y)
         return out
 
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * out.data)
+        y = out.data
+        out._backward = lambda g: self._accumulate(g * y)
         return out
 
     def log(self):
@@ -206,12 +213,10 @@ class Tensor:
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
         def back(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            if not keepdims:
+            if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            # a read-only view; _accumulate copies it into grad
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         out._backward = back
         return out

@@ -1,0 +1,49 @@
+"""Whole runs with the production backward kernels against the references.
+
+The conv stack stores its outputs NHWC in memory, and the FedFA hooks and
+the backward pass reduce over them, so a change of memory layout anywhere
+in the training step changes summation orders and thus the low bits of a
+run. Stored hashes would tie this check to one machine's BLAS; comparing
+two runs in one process does not.
+"""
+
+import dataclasses
+import os
+
+import pytest
+
+from fedfa.config import ExperimentConfig
+from fedfa.experiment import run_experiment
+
+import reference_kernels
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def run_bytes(cfg, root):
+    run_dir = run_experiment(cfg, run_root=str(root))
+    out = {}
+    for name in ("metrics.jsonl", "model.bin"):
+        with open(os.path.join(run_dir, name), "rb") as f:
+            out[name] = f.read()
+    return out
+
+
+# batch 47 leaves a one-sample batch per client and epoch: at B=1 a
+# transposed gradient can reshape to an F-ordered view, so the bias and
+# weight sums of a conv see its memory layout most directly
+@pytest.mark.parametrize("config,changes", [
+    ("fedfa_dirichlet", {}),
+    ("fedfa", {}),
+    ("fedfa", {"batch_size": 47}),
+], ids=["fedfa_dirichlet", "fedfa", "fedfa_batch47"])
+def test_runs_byte_identical_to_reference_kernels(config, changes, tmp_path,
+                                                  monkeypatch):
+    cfg = dataclasses.replace(
+        ExperimentConfig.from_json(os.path.join(CONFIG_DIR, f"{config}.json")),
+        rounds=2, **changes)
+    got = run_bytes(cfg, tmp_path / "production")
+    with monkeypatch.context() as m:
+        reference_kernels.install(m)
+        want = run_bytes(cfg, tmp_path / "reference")
+    assert got == want

@@ -1,17 +1,20 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fedfa.layers import (ConvNet, NetSpec, StageSpec, channel_mean_std,
-                          conv2d, default_net_spec, global_avg_pool,
-                          infer_logits, init_params, linear, maxpool2x2,
-                          softmax, softmax_cross_entropy)
+from fedfa.layers import (ConvNet, NetSpec, StageSpec, _col2im, _col2im_index,
+                          channel_mean_std, conv2d, default_net_spec,
+                          global_avg_pool, infer_logits, init_params, linear,
+                          maxpool2x2, softmax, softmax_cross_entropy)
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
 
 from gradcheck import check_grads
+from reference_kernels import col2im_slices
+from reference_kernels import install as install_reference_kernels
 
 
 def conv2d_reference(x, w, b, stride, padding):
@@ -68,14 +71,26 @@ def conv2d_im2col_reference(x, w, b, stride, padding, g):
         win.transpose(0, 2, 3, 1, 4, 5).reshape(bs * ho * wo, cin * kh * kw))
     wmat = w.reshape(cout, -1)
     out = (cols @ wmat.T + b).reshape(bs, ho, wo, cout).transpose(0, 3, 1, 2)
-    gm = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-    g6 = (gm @ wmat).reshape(bs, ho, wo, cin, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    gxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g6[:, :, i, j]
-    dx = gxp[:, :, padding:padding + h, padding:padding + ww]
+    # conv2d receives its output gradient in the output's NHWC memory
+    # layout, so its gm is C-contiguous; at B=1 this reshape would be an
+    # F-ordered view, and the sums below would run in another order
+    gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(-1, cout))
+    dx = col2im_slices(gm @ wmat, x.shape, kh, kw, stride, padding)
     return out, dx, (gm.T @ cols).reshape(w.shape), gm.sum(axis=0)
+
+
+def signed_zero_heavy(rng, shape):
+    """Normal draws with about half the entries set to +0.0 or -0.0."""
+    a = rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.5
+    a[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return a
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("ksize", [1, 3])
@@ -83,17 +98,59 @@ def conv2d_im2col_reference(x, w, b, stride, padding, g):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_bit_identical_to_padded_window_im2col(stride, padding, ksize):
     rng = np.random.default_rng(100 * stride + 10 * padding + ksize)
-    x = rng.standard_normal((3, 2, 7, 5))
-    w = rng.standard_normal((4, 2, ksize, ksize))
-    b = rng.standard_normal(4)
-    tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
-    out = conv2d(tx, tw, tb, stride, padding)
-    g = rng.standard_normal(out.shape)
-    out.backward(g)
-    want = conv2d_im2col_reference(x, w, b, stride, padding, g)
-    for got, ref in zip((out.data, tx.grad, tw.grad, tb.grad), want):
-        assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
+    for batch in (1, 3, 17):
+        x = signed_zero_heavy(rng, (batch, 2, 7, 5))
+        w = rng.standard_normal((4, 2, ksize, ksize))
+        b = rng.standard_normal(4)
+        tx, tw, tb = Tensor(x), Tensor(w), Tensor(b)
+        out = conv2d(tx, tw, tb, stride, padding)
+        g = signed_zero_heavy(rng, out.shape)
+        out.backward(g)
+        want = conv2d_im2col_reference(x, w, b, stride, padding, g)
+        for got, ref in zip((out.data, tx.grad, tw.grad, tb.grad), want):
+            assert_bits_equal(got, ref)
+
+
+@pytest.mark.parametrize("batch", [1, 17, 32])
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 2), (2, 0)])
+def test_col2im_sums_taps_in_order_from_positive_zero(stride, padding, batch):
+    # patch gradients of only signed zeros and a few values: a pixel whose
+    # taps are all -0.0 must come out +0.0, as it does from a zero fill
+    rng = np.random.default_rng(10 * stride + padding)
+    shape, k = (batch, 3, 6, 5), 3
+    ho = (6 + 2 * padding - k) // stride + 1
+    wo = (5 + 2 * padding - k) // stride + 1
+    gcols = rng.choice([-0.0, 0.0, 0.1, -0.3, 1e16],
+                       size=(batch * ho * wo, 3 * k * k))
+    assert_bits_equal(_col2im(gcols, shape, k, k, stride, padding),
+                      col2im_slices(gcols, shape, k, k, stride, padding))
+    idx, _, _ = _col2im_index(3, 6, 5, k, k, stride, padding)
+    assert idx.size * batch == gcols.size
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 0
+
+
+def test_convnet_input_gets_no_gradient_and_params_match_full_graph(monkeypatch):
+    spec = default_net_spec()
+    x = np.random.default_rng(9).standard_normal((5, 3, 8, 8))
+    y = np.array([0, 1, 2, 3, 4])
+
+    def param_grads():
+        params = init_params(spec, stream(9, "init"))
+        tx = Tensor(x)
+        logits, _ = ConvNet(spec, params).forward(tx)
+        softmax_cross_entropy(logits, y).backward()
+        assert tx.grad is None
+        return {k: p.grad for k, p in params.items()}
+
+    got = param_grads()
+    with monkeypatch.context() as m:
+        # the reference conv lifts the input to a Tensor and runs its col2im
+        install_reference_kernels(m)
+        want = param_grads()
+    for k in want:
+        assert_bits_equal(got[k], want[k])
 
 
 def test_conv2d_kernel_larger_than_padded_input_rejected():
@@ -178,6 +235,33 @@ def test_conv_pool_graph_is_freed_without_the_cycle_collector():
                    ((2, 3, 4, 4), (4, 3, 3, 3), (4,)))
         maxpool2x2(conv2d(x, w, b, padding=1).relu()).sum().backward()
         del x, w, b
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _mean_std_graph(x):
+    mu, sigma = channel_mean_std(x)
+    (mu.sum() + sigma.sum()).backward()
+    return sigma  # the sqrt node
+
+
+def _exp_graph(x):
+    e = x.exp()
+    e.sum().backward()
+    return e
+
+
+@pytest.mark.parametrize("build", [_mean_std_graph, _exp_graph])
+def test_sqrt_and_exp_graphs_are_freed_without_the_cycle_collector(build):
+    rng = np.random.default_rng(39)
+    gc.collect()
+    gc.disable()
+    try:
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        inner = weakref.ref(build(x).data)
+        del x
+        assert inner() is None
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -151,6 +151,30 @@ def test_zero_grad_resets():
     assert x.grad is None
 
 
+@pytest.mark.parametrize("data_nhwc", [True, False])
+def test_first_gradient_takes_the_layout_of_data(data_nhwc):
+    # later reductions over a gradient sum in its memory order, so the
+    # buffer must follow data (conv outputs are NHWC in memory), not g
+    rng = np.random.default_rng(40)
+    nhwc = rng.standard_normal((2, 4, 4, 3)).transpose(0, 3, 1, 2)
+    nchw = rng.standard_normal((2, 3, 4, 4))
+    data, g = (nhwc, nchw) if data_nhwc else (nchw, nhwc)
+    t = Tensor(data)
+    t._accumulate(g)
+    assert t.grad.strides == t.data.strides
+    assert np.array_equal(t.grad, g)
+    assert not np.shares_memory(t.grad, g)
+    t._accumulate(g)
+    assert np.array_equal(t.grad, 2 * g)
+
+
+def test_first_gradient_turns_negative_zero_positive():
+    # as a zero-filled buffer would: +0.0 + -0.0 is +0.0
+    t = Tensor(np.ones(3))
+    t._accumulate(np.array([-0.0, 0.0, -1.0]))
+    assert not np.signbit(t.grad[:2]).any()
+
+
 def test_float64_coercion():
     t = Tensor(np.array([1, 2, 3], dtype=np.int32))
     assert t.data.dtype == np.float64
