@@ -1,10 +1,12 @@
 """Stochastic feature-statistic augmentation.
 
 A gated layer that resamples the per-sample channel statistics of a
-feature map and renormalizes the map onto the new statistics. Channel
-variance budgets come either from the batch itself ("client" variant), a
-fixed width ("random"), or the batch variances rescaled by cross-client
-modulation coefficients ("full").
+feature map and renormalizes the map onto the new statistics. The gate is
+drawn first; only a fired gate computes the statistics, once, and they
+feed the variance budget, the transform and the caller's momentum update.
+Budgets come from the batch itself ("client" variant), a fixed width
+("random"), or the batch variances rescaled by cross-client modulation
+coefficients ("full").
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import channel_mean_std
-from .stats import EPS_VAR, BatchStatVariance, channel_stats
+from .stats import EPS_VAR, BatchStatVariance, ChannelStats
 from .tensor import Tensor
 
 VARIANTS = ("full", "client", "random")
@@ -44,12 +46,8 @@ class FusedVariance:
 class FfaConfig:
     p: float = 0.5
     variant: str = "full"
-    alpha: float = 0.99
     random_std: float = 0.5
     eps_var: float = EPS_VAR
-    # one noise draw per (sample, channel); flip to share draws across
-    # the batch, i.e. one draw per channel
-    eps_per_sample: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -88,32 +86,43 @@ def fuse(gamma: np.ndarray, client_var: np.ndarray) -> np.ndarray:
     return (gamma + 1.0) * client_var
 
 
-def variant_variances(variant: str, client_var: BatchStatVariance,
-                      gamma: ModulationCoefficients | None,
-                      random_std: float = 0.5) -> FusedVariance:
-    """Pick the variance budget for a variant.
+def variant_variances(cfg: FfaConfig, client_var: BatchStatVariance,
+                      gamma: ModulationCoefficients | None) -> FusedVariance:
+    """Pick the variance budget for ``cfg.variant``.
 
     client_var carries the batch variances (var_mu, var_sigma). For the
     full variant a missing gamma (nothing aggregated yet) degenerates to
-    the client-only budget.
+    the client-only budget; the other variants ignore gamma.
     """
-    if variant == "random":
-        c = client_var.var_mu.shape[0]
-        v = np.full(c, random_std ** 2)
+    if cfg.variant == "random":
+        v = np.full(client_var.var_mu.shape[0], cfg.random_std ** 2)
         return FusedVariance(var_mu_hat=v, var_sigma_hat=v.copy())
-    if variant == "client":
-        return FusedVariance(
-            var_mu_hat=np.asarray(client_var.var_mu, dtype=np.float64),
-            var_sigma_hat=np.asarray(client_var.var_sigma, dtype=np.float64),
-        )
-    if variant == "full":
-        if gamma is None:
-            gamma = ModulationCoefficients.zero(client_var.var_mu.shape[0])
-        return FusedVariance(
-            var_mu_hat=fuse(gamma.gamma_mu, client_var.var_mu),
-            var_sigma_hat=fuse(gamma.gamma_sigma, client_var.var_sigma),
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    if cfg.variant == "client":
+        return FusedVariance(client_var.var_mu, client_var.var_sigma)
+    if gamma is None:
+        gamma = ModulationCoefficients.zero(client_var.var_mu.shape[0])
+    return FusedVariance(
+        var_mu_hat=fuse(gamma.gamma_mu, client_var.var_mu),
+        var_sigma_hat=fuse(gamma.gamma_sigma, client_var.var_sigma),
+    )
+
+
+def _shifts(fused: FusedVariance, eps_mu, eps_sigma):
+    """eps * sqrt(var_hat) for the mean and the std: the shifts of the
+    statistics, as eps's [B,C] plus two unit axes."""
+    def shift(eps, var):
+        e = np.asarray(eps, dtype=np.float64)
+        return e.reshape(e.shape + (1, 1)) * np.sqrt(var)[None, :, None, None]
+    return shift(eps_mu, fused.var_mu_hat), shift(eps_sigma, fused.var_sigma_hat)
+
+
+def _resample(x: Tensor, mu: Tensor, sigma: Tensor, fused: FusedVariance,
+              eps_mu, eps_sigma) -> Tensor:
+    """Renormalize x from its statistics (mu, sigma) onto shifted ones."""
+    d_mu, d_sigma = _shifts(fused, eps_mu, eps_sigma)
+    mu_hat = mu + d_mu
+    sigma_hat = sigma + d_sigma
+    return sigma_hat * ((x - mu) / sigma) + mu_hat
 
 
 def ffa_transform(x: Tensor, fused: FusedVariance, eps_mu: np.ndarray,
@@ -124,42 +133,37 @@ def ffa_transform(x: Tensor, fused: FusedVariance, eps_mu: np.ndarray,
     feature map and its statistics, not through the variance budgets.
     """
     mu, sigma = channel_mean_std(x, eps_var=eps_var)
-    s_mu = np.sqrt(fused.var_mu_hat)[None, :, None, None]
-    s_sigma = np.sqrt(fused.var_sigma_hat)[None, :, None, None]
-    em = np.asarray(eps_mu, dtype=np.float64)
-    es = np.asarray(eps_sigma, dtype=np.float64)
-    em = em.reshape(em.shape + (1, 1))
-    es = es.reshape(es.shape + (1, 1))
-    mu_hat = mu + em * s_mu
-    sigma_hat = sigma + es * s_sigma
-    return sigma_hat * ((x - mu) / sigma) + mu_hat
+    return _resample(x, mu, sigma, fused, eps_mu, eps_sigma)
 
 
-def draw_eps(cfg: FfaConfig, rng: np.random.Generator, batch: int,
+def draw_eps(rng: np.random.Generator, batch: int,
              channels: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = batch if cfg.eps_per_sample else 1
-    eps_mu = rng.standard_normal((rows, channels))
-    eps_sigma = rng.standard_normal((rows, channels))
-    return eps_mu, eps_sigma
+    """One unit-normal draw per (sample, channel) for the mean and the std."""
+    return (rng.standard_normal((batch, channels)),
+            rng.standard_normal((batch, channels)))
 
 
-def augment(x: Tensor, fused: FusedVariance, cfg: FfaConfig,
-            rng: np.random.Generator, training: bool = True,
-            eps=None):
+def augment(x: Tensor, fused, cfg: FfaConfig, rng: np.random.Generator,
+            training: bool = True, eps=None):
     """Apply the gated statistic perturbation to a feature map.
+
+    fused is the variance budget, or a function that builds it from the
+    map's ``ChannelStats``. The gate is drawn first: only a fired gate
+    computes the statistics, once, and calls that function with them.
 
     Returns (x_hat, used_eps). used_eps is None when the gate stayed
     closed (eval mode, p == 0, or an unlucky draw). Passing eps forces
     the gate open with those draws; the rng is not consumed.
     """
     if eps is None:
-        if not training or cfg.p == 0.0:
+        if not training or cfg.p == 0.0 or rng.random() >= cfg.p:
             return x, None
-        if rng.random() >= cfg.p:
-            return x, None
-        eps = draw_eps(cfg, rng, x.shape[0], x.shape[1])
+        eps = draw_eps(rng, x.shape[0], x.shape[1])
     eps_mu, eps_sigma = eps
-    x_hat = ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var)
+    mu, sigma = channel_mean_std(x, eps_var=cfg.eps_var)
+    if callable(fused):
+        fused = fused(ChannelStats.of(mu, sigma))
+    x_hat = _resample(x, mu, sigma, fused, eps_mu, eps_sigma)
     return x_hat, (eps_mu, eps_sigma)
 
 
@@ -170,14 +174,6 @@ def noise_view(x: np.ndarray, fused: FusedVariance, used_eps,
     e = eps_sigma * S_sigma * (x - mu)/sigma + eps_mu * S_mu, so that
     x + e reproduces the augmented map exactly (up to rounding).
     """
-    eps_mu, eps_sigma = used_eps
-    st = channel_stats(x, eps_var=eps_var)
-    mu = st.mu[:, :, None, None]
-    sigma = st.sigma[:, :, None, None]
-    s_mu = np.sqrt(fused.var_mu_hat)[None, :, None, None]
-    s_sigma = np.sqrt(fused.var_sigma_hat)[None, :, None, None]
-    em = np.asarray(eps_mu, dtype=np.float64)
-    es = np.asarray(eps_sigma, dtype=np.float64)
-    em = em.reshape(em.shape + (1, 1))
-    es = es.reshape(es.shape + (1, 1))
-    return es * s_sigma * (x - mu) / sigma + em * s_mu
+    mu, sigma = (t.data for t in channel_mean_std(Tensor(x), eps_var=eps_var))
+    d_mu, d_sigma = _shifts(fused, *used_eps)
+    return d_sigma * (x - mu) / sigma + d_mu

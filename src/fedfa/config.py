@@ -6,8 +6,27 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-ALGORITHMS = ("fedavg", "fedprox", "fedavgm", "mixup",
-              "fedfa", "fedfa-c", "fedfa-r")
+
+@dataclass(frozen=True)
+class Algorithm:
+    """What an algorithm switches on; its knobs stay in ExperimentConfig."""
+
+    variant: str | None = None  # FedFA variance budget; None: no augmentation
+    prox: bool = False  # proximal pull toward the broadcast model, prox_mu
+    mixup: bool = False  # mixup batches, Beta(mixup_beta, mixup_beta)
+    server_momentum: bool = False  # momentum on the server update
+
+
+ALGORITHM_TABLE = {
+    "fedavg": Algorithm(),
+    "fedprox": Algorithm(prox=True),
+    "fedavgm": Algorithm(server_momentum=True),
+    "mixup": Algorithm(mixup=True),
+    "fedfa": Algorithm(variant="full"),
+    "fedfa-c": Algorithm(variant="client"),
+    "fedfa-r": Algorithm(variant="random"),
+}
+ALGORITHMS = tuple(ALGORITHM_TABLE)
 DATASET_KINDS = ("feature_shift", "dirichlet", "size_skew")
 
 
@@ -81,7 +100,19 @@ class ExperimentConfig:
             raise ValueError("p must lie in [0, 1]")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if self.random_std < 0:
+            raise ValueError("random_std must be nonnegative")
+        if self.prox_mu < 0:
+            raise ValueError("prox_mu must be nonnegative")
+        if not 0.0 <= self.server_momentum < 1.0:
+            raise ValueError("server_momentum must lie in [0, 1)")
+        if self.mixup_beta <= 0:
+            raise ValueError("mixup_beta must be positive")
         self.dataset.validate()
+
+    @property
+    def method(self) -> Algorithm:
+        return ALGORITHM_TABLE[self.algorithm]
 
     @property
     def name(self) -> str:

@@ -12,16 +12,14 @@ from . import checkpoint
 from . import data as datamod
 from .augment import FfaConfig, augment, variant_variances
 from .config import DatasetConfig, ExperimentConfig
-from .federation import (ClientState, LocalResult, RoundConfig, ServerState,
-                         run_round)
+from .federation import (ClientState, LocalResult, RoundConfig, RoundReport,
+                         ServerState, run_round)
 from .layers import (ConvNet, default_net_spec, infer_logits, init_params,
                      softmax_cross_entropy)
 from .optim import Sgd
 from .rng import stream
-from .stats import batch_variances, channel_stats, momentum_update
+from .stats import batch_variances, momentum_update
 from .tensor import Tensor
-
-FFA_VARIANTS = {"fedfa": "full", "fedfa-c": "client", "fedfa-r": "random"}
 
 
 def resolve_run_root(run_root=None) -> str:
@@ -64,9 +62,9 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,
 
 def make_train_fn(cfg: ExperimentConfig, net_spec):
     """Build the per-client local training function for one experiment."""
-    variant = FFA_VARIANTS.get(cfg.algorithm)
-    ffa_cfg = FfaConfig(p=cfg.p, variant=variant or "full", alpha=cfg.alpha,
-                        random_std=cfg.random_std) if variant else None
+    method = cfg.method
+    ffa_cfg = (FfaConfig(p=cfg.p, variant=method.variant,
+                         random_std=cfg.random_std) if method.variant else None)
     sites = len(net_spec.stages)
 
     def train_fn(client: ClientState, round_index: int, coeffs) -> LocalResult:
@@ -74,29 +72,25 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
         tparams = {k: Tensor(v.copy()) for k, v in anchor.items()}
         net = ConvNet(net_spec, tparams)
         opt = Sgd(tparams, lr=cfg.lr,
-                  prox_mu=cfg.prox_mu if cfg.algorithm == "fedprox" else 0.0,
-                  anchor=anchor if cfg.algorithm == "fedprox" else None)
+                  prox_mu=cfg.prox_mu if method.prox else 0.0,
+                  anchor=anchor if method.prox else None)
         momentum = list(client.momentum)
-        ffa_rngs = [stream(cfg.seed, "ffa", round_index, client.client_id, k)
-                    for k in range(sites)] if variant else None
         mix_rng = (stream(cfg.seed, "mixup", round_index, client.client_id)
-                   if cfg.algorithm == "mixup" else None)
+                   if method.mixup else None)
 
         def make_hook(k):
-            def hook(t):
-                st = channel_stats(t.data, eps_var=ffa_cfg.eps_var)
-                bv = batch_variances(st)
-                gamma = None
-                if variant == "full" and coeffs is not None and not cfg.force_zero_gamma:
-                    gamma = coeffs[k]
-                fused = variant_variances(variant, bv, gamma, cfg.random_std)
-                out, used = augment(t, fused, ffa_cfg, ffa_rngs[k])
-                if used is not None:
-                    momentum[k] = momentum_update(momentum[k], st)
-                return out
-            return hook
+            rng = stream(cfg.seed, "ffa", round_index, client.client_id, k)
+            gamma = (coeffs[k] if coeffs is not None and not cfg.force_zero_gamma
+                     else None)
 
-        hooks = [make_hook(k) for k in range(sites)] if variant else None
+            def budget(st):
+                # called only when the gate fires, with its one set of statistics
+                momentum[k] = momentum_update(momentum[k], st)
+                return variant_variances(ffa_cfg, batch_variances(st), gamma)
+
+            return lambda t: augment(t, budget, ffa_cfg, rng)[0]
+
+        hooks = [make_hook(k) for k in range(sites)] if ffa_cfg else None
         x_all, y_all = client.data.x_train, client.data.y_train
         n = x_all.shape[0]
         losses = []
@@ -107,7 +101,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
                 idx = order[start:start + cfg.batch_size]
                 xb, yb = x_all[idx], y_all[idx]
                 net.zero_grad()
-                if cfg.algorithm == "mixup":
+                if method.mixup:
                     xb, ya, yb2, lam = mixup_batch(xb, yb, cfg.mixup_beta, mix_rng)
                     logits, _ = net.forward(Tensor(xb))
                     loss = (softmax_cross_entropy(logits, ya) * lam
@@ -137,73 +131,47 @@ def evaluate(params: dict[str, np.ndarray], net_spec, x: np.ndarray,
     return hits / x.shape[0]
 
 
-def _eval_round(server, net_spec, ds, client_ids):
-    accs = {i: evaluate(server.params, net_spec,
+def _test_acc(server, net_spec, ds, client_ids) -> dict[int, float]:
+    return {i: evaluate(server.params, net_spec,
                         ds.clients[i].x_test, ds.clients[i].y_test)
             for i in client_ids}
-    mean = float(np.mean(list(accs.values())))
-    return accs, mean
 
 
-def federated_training(cfg: ExperimentConfig, ds, client_ids,
-                       eval_ids=None, on_round=None):
+def federated_training(cfg: ExperimentConfig, ds, client_ids):
     """Train a federation over the given client indices.
 
-    Returns (server, records): one record dict per round, round 0 being
-    the evaluation of the freshly initialized global model.
+    Returns (server, net_spec, records, timings): one metrics record per
+    round, round 0 being the evaluation of the freshly initialized global
+    model, and the wall clock of each round.
     """
-    eval_ids = list(client_ids) if eval_ids is None else list(eval_ids)
     net_spec = default_net_spec(channels=cfg.dataset.channels,
                                 image_size=cfg.dataset.image_size,
                                 classes=ds.classes)
     init = {k: t.data for k, t in
             init_params(net_spec, stream(cfg.seed, "init")).items()}
-    is_ffa = cfg.algorithm in FFA_VARIANTS
+    exchange_stats = cfg.method.variant is not None
     server = ServerState(
         params=init,
-        stat_channels=net_spec.stage_channels if is_ffa else (),
+        stat_channels=net_spec.stage_channels if exchange_stats else (),
     )
     round_cfg = RoundConfig(
         participation=cfg.participation,
         aggregation=cfg.aggregation,
-        server_momentum=cfg.server_momentum if cfg.algorithm == "fedavgm" else 0.0,
-        exchange_stats=is_ffa,
+        server_momentum=cfg.server_momentum if cfg.method.server_momentum else 0.0,
+        exchange_stats=exchange_stats,
         alpha=cfg.alpha,
         seed=cfg.seed,
     )
     clients = [ClientState(client_id=i, data=ds.clients[i]) for i in client_ids]
     train_fn = make_train_fn(cfg, net_spec)
 
-    records = []
-    accs, mean = _eval_round(server, net_spec, ds, eval_ids)
-    records.append({"round": 0, "train_loss": {}, "mean_train_loss": None,
-                    "test_acc": {str(i): a for i, a in accs.items()},
-                    "mean_test_acc": mean, "selected": [],
-                    "uplink_bytes": 0, "downlink_bytes": 0,
-                    "uplink_bytes_per_client": 0,
-                    "downlink_bytes_per_client": 0})
+    report = RoundReport(round_index=0, selected=[], train_loss={})
+    records = [report.record(_test_acc(server, net_spec, ds, client_ids))]
     timings = []
     for r in range(1, cfg.rounds + 1):
         report = run_round(server, clients, r, round_cfg, train_fn)
-        accs, mean = _eval_round(server, net_spec, ds, eval_ids)
-        sel_ids = [clients[i].client_id for i in report.selected]
-        records.append({
-            "round": r,
-            "train_loss": {str(clients[i].client_id): v
-                           for i, v in report.train_loss.items()},
-            "mean_train_loss": (float(np.mean(list(report.train_loss.values())))
-                                if report.train_loss else None),
-            "test_acc": {str(i): a for i, a in accs.items()},
-            "mean_test_acc": mean,
-            "selected": sel_ids,
-            "uplink_bytes": report.uplink_bytes,
-            "downlink_bytes": report.downlink_bytes,
-            "uplink_bytes_per_client": report.uplink_bytes_per_client,
-            "downlink_bytes_per_client": report.downlink_bytes_per_client,
-        })
+        records.append(report.record(_test_acc(server, net_spec, ds, client_ids)))
         timings.append(report.wall_clock)
-        if on_round is not None:
-            on_round(r, records[-1])
     return server, net_spec, records, timings
 
 

@@ -38,6 +38,7 @@ class ClientState:
 class ServerState:
     params: dict[str, np.ndarray]
     stat_channels: tuple[int, ...] = ()
+    # by client_id
     client_stats: dict[int, list[MomentumStats]] = field(default_factory=dict)
     coeffs: list[ModulationCoefficients] | None = None
     momentum_buf: dict[str, np.ndarray] | None = None
@@ -45,6 +46,8 @@ class ServerState:
 
 @dataclass
 class RoundReport:
+    """What one round did; clients are named by client_id throughout."""
+
     round_index: int
     selected: list[int]
     train_loss: dict[int, float]
@@ -53,6 +56,22 @@ class RoundReport:
     uplink_bytes: int = 0
     downlink_bytes: int = 0
     wall_clock: float = 0.0
+
+    def record(self, test_acc: dict[int, float]) -> dict:
+        """The round's metrics.jsonl record; the wall clock stays out."""
+        losses = list(self.train_loss.values())
+        return {
+            "round": self.round_index,
+            "selected": self.selected,
+            "train_loss": {str(i): v for i, v in self.train_loss.items()},
+            "mean_train_loss": float(np.mean(losses)) if losses else None,
+            "test_acc": {str(i): a for i, a in test_acc.items()},
+            "mean_test_acc": float(np.mean(list(test_acc.values()))),
+            "uplink_bytes": self.uplink_bytes,
+            "downlink_bytes": self.downlink_bytes,
+            "uplink_bytes_per_client": self.uplink_bytes_per_client,
+            "downlink_bytes_per_client": self.downlink_bytes_per_client,
+        }
 
 
 @dataclass
@@ -159,18 +178,20 @@ def run_round(server: ServerState, clients: list[ClientState],
 
     train_fn(client, round_index, coeffs) -> LocalResult does the local
     optimization; a ClientTrainingError drops that client from the round.
+    The report and ``server.client_stats`` name clients by client_id.
     """
     t0 = time.perf_counter()
-    selected = select_clients(len(clients), cfg.participation, cfg.seed, round_index)
+    picked = [clients[i] for i in
+              select_clients(len(clients), cfg.participation, cfg.seed, round_index)]
 
     param_bytes = len(checkpoint.encode(server.params))
     # statistics travel as float64; each direction carries half the exchange
     stat_bytes = comm_cost(server.stat_channels, 8) // 2 if cfg.exchange_stats else 0
 
-    results: list[tuple[ClientState, LocalResult]] = []
+    results: list[LocalResult] = []
     train_loss: dict[int, float] = {}
-    for idx in selected:
-        client = clients[idx]
+    for client in picked:
+        cid = client.client_id
         client.params = {k: v.copy() for k, v in server.params.items()}
         client.momentum = [
             MomentumStats.fresh(c, cfg.alpha) for c in server.stat_channels
@@ -178,18 +199,18 @@ def run_round(server: ServerState, clients: list[ClientState],
         try:
             res = train_fn(client, round_index, server.coeffs)
         except ClientTrainingError as err:
-            log.warning("client %d dropped in round %d: %s", idx, round_index, err)
+            log.warning("client %d dropped in round %d: %s", cid, round_index, err)
             continue
-        results.append((client, res))
-        train_loss[idx] = res.train_loss
+        results.append(res)
+        train_loss[cid] = res.train_loss
         if cfg.exchange_stats:
-            server.client_stats[idx] = res.momentum
+            server.client_stats[cid] = res.momentum
 
     if results:
         if cfg.aggregation == "uniform":
-            weighted = [(r.params, 1.0) for _, r in results]
+            weighted = [(r.params, 1.0) for r in results]
         else:
-            weighted = [(r.params, float(r.n_samples)) for _, r in results]
+            weighted = [(r.params, float(r.n_samples)) for r in results]
         agg = aggregate(weighted)
         if cfg.server_momentum > 0.0:
             if server.momentum_buf is None:
@@ -208,11 +229,11 @@ def run_round(server: ServerState, clients: list[ClientState],
     # broadcast reaches every selected client; uplink only the survivors
     return RoundReport(
         round_index=round_index,
-        selected=selected,
+        selected=[c.client_id for c in picked],
         train_loss=train_loss,
         uplink_bytes_per_client=param_bytes + stat_bytes,
         downlink_bytes_per_client=param_bytes + stat_bytes,
         uplink_bytes=len(results) * (param_bytes + stat_bytes),
-        downlink_bytes=len(selected) * (param_bytes + stat_bytes),
+        downlink_bytes=len(picked) * (param_bytes + stat_bytes),
         wall_clock=time.perf_counter() - t0,
     )

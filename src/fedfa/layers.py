@@ -150,7 +150,9 @@ def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor,
     out = Tensor(out_data, (weight, bias) if xt is None else (xt, weight, bias))
 
     def back(g):
-        gm = g.transpose(0, 2, 3, 1).reshape(-1, cout)
+        # C order whatever g's layout: the reshape is an F-ordered view for an
+        # NCHW-contiguous g at B=1, and the order sets the low bits of the sums
+        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(-1, cout))
         weight._accumulate((gm.T @ cols).reshape(weight.shape))
         bias._accumulate(gm.sum(axis=0))
         if xt is not None:
@@ -216,14 +218,9 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def channel_mean_std(x: Tensor, eps_var: float = 1e-6) -> tuple[Tensor, Tensor]:
-    """Differentiable per-sample per-channel spatial statistics.
+    """Differentiable per-sample per-channel spatial statistics, the one
+    implementation of them (``stats.channel_stats`` views it as numpy).
 
     Returns (mu, sigma), both shaped [B,C,1,1]. sigma is the square root of
     the population spatial variance plus eps_var, which keeps the node
@@ -334,10 +331,6 @@ class ConvNet:
     def __init__(self, spec: NetSpec, params: dict[str, Tensor]):
         self.spec = spec
         self.params = params
-
-    @classmethod
-    def create(cls, spec: NetSpec, rng: np.random.Generator) -> "ConvNet":
-        return cls(spec, init_params(spec, rng))
 
     def forward(self, x: Tensor, hooks=None) -> tuple[Tensor, Tape]:
         """Run the network. hooks is a list of callables (one per stage,

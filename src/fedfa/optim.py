@@ -1,4 +1,4 @@
-"""SGD with optional heavy-ball momentum and an optional proximal pull."""
+"""SGD with an optional proximal pull toward an anchor point."""
 
 from __future__ import annotations
 
@@ -9,16 +9,14 @@ from .tensor import Tensor
 
 class Sgd:
     def __init__(self, params: dict[str, Tensor], lr: float,
-                 momentum: float = 0.0, prox_mu: float = 0.0,
+                 prox_mu: float = 0.0,
                  anchor: dict[str, np.ndarray] | None = None):
         if prox_mu != 0.0 and anchor is None:
             raise ValueError("proximal term needs an anchor point")
         self.params = params
         self.lr = lr
-        self.momentum = momentum
         self.prox_mu = prox_mu
         self.anchor = anchor
-        self._velocity: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
         for name, p in self.params.items():
@@ -28,11 +26,6 @@ class Sgd:
             # keep the zero-coefficient path bit-identical to plain SGD
             if self.prox_mu != 0.0:
                 g = g + self.prox_mu * (p.data - self.anchor[name])
-            if self.momentum != 0.0:
-                v = self._velocity.get(name)
-                v = g if v is None else self.momentum * v + g
-                self._velocity[name] = v
-                g = v
             p.data = p.data - self.lr * g
 
     def zero_grad(self) -> None:

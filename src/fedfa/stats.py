@@ -1,9 +1,9 @@
-"""Channel-wise feature statistics and their batch/momentum bookkeeping.
+"""Channel-wise feature statistics: batch variances and momentum bookkeeping.
 
 All estimators here are population (biased) moments: spatial variance is
-averaged over H*W, batch variance over B. Inputs are plain numpy arrays;
-the differentiable twin used inside the training graph lives in
-``layers.channel_mean_std``.
+averaged over H*W, batch variance over B. The spatial moments have one
+implementation, ``layers.channel_mean_std``; ``ChannelStats`` views its
+output as [B,C] arrays, and ``channel_stats`` applies it to a numpy map.
 """
 
 from __future__ import annotations
@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .layers import channel_mean_std
+from .tensor import Tensor
 
 EPS_VAR = 1e-6
 
@@ -22,6 +25,11 @@ class ChannelStats:
     mu: np.ndarray
     sigma: np.ndarray
 
+    @classmethod
+    def of(cls, mu: Tensor, sigma: Tensor) -> "ChannelStats":
+        """View ``channel_mean_std``'s [B,C,1,1] outputs as [B,C] arrays."""
+        return cls(mu=mu.data[:, :, 0, 0], sigma=sigma.data[:, :, 0, 0])
+
 
 def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> ChannelStats:
     """Spatial mean and std of a feature map [B,C,H,W].
@@ -32,9 +40,7 @@ def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> ChannelStats:
         raise ValueError(f"expected [B,C,H,W], got shape {x.shape}")
     if x.shape[2] * x.shape[3] == 0:
         raise ValueError("empty spatial extent")
-    mu = x.mean(axis=(2, 3))
-    var = x.var(axis=(2, 3))
-    return ChannelStats(mu=mu, sigma=np.sqrt(var + eps_var))
+    return ChannelStats.of(*channel_mean_std(Tensor(x), eps_var=eps_var))
 
 
 @dataclass(frozen=True)

@@ -80,36 +80,40 @@ def test_fuse_shape_mismatch():
 
 # -------------------------------------------------------- variant budgets
 
+FULL = FfaConfig(variant="full")
+CLIENT = FfaConfig(variant="client")
+
+
 def _bv(var_mu, var_sigma):
     return BatchStatVariance(np.asarray(var_mu, dtype=np.float64),
                              np.asarray(var_sigma, dtype=np.float64))
 
 
 def test_random_variant_constant_budget():
-    fused = variant_variances("random", _bv([3.0, 9.0], [1.0, 1.0]), None,
-                              random_std=0.5)
+    fused = variant_variances(FfaConfig(variant="random", random_std=0.5),
+                              _bv([3.0, 9.0], [1.0, 1.0]), None)
     assert np.array_equal(fused.var_mu_hat, [0.25, 0.25])
     assert np.array_equal(fused.var_sigma_hat, [0.25, 0.25])
 
 
 def test_client_variant_passthrough():
     bv = _bv([0.1, 0.2], [0.3, 0.4])
-    fused = variant_variances("client", bv, None)
+    fused = variant_variances(CLIENT, bv, None)
     assert np.array_equal(fused.var_mu_hat, bv.var_mu)
     assert np.array_equal(fused.var_sigma_hat, bv.var_sigma)
 
 
 def test_full_variant_zero_gamma_matches_client():
     bv = _bv([0.1, 0.2], [0.3, 0.4])
-    zero = variant_variances("full", bv, ModulationCoefficients.zero(2))
-    client = variant_variances("client", bv, None)
+    zero = variant_variances(FULL, bv, ModulationCoefficients.zero(2))
+    client = variant_variances(CLIENT, bv, None)
     assert np.array_equal(zero.var_mu_hat, client.var_mu_hat)
     assert np.array_equal(zero.var_sigma_hat, client.var_sigma_hat)
 
 
 def test_full_variant_missing_gamma_matches_client():
     bv = _bv([0.5, 0.6], [0.7, 0.8])
-    fused = variant_variances("full", bv, None)
+    fused = variant_variances(FULL, bv, None)
     assert np.array_equal(fused.var_mu_hat, bv.var_mu)
     assert np.array_equal(fused.var_sigma_hat, bv.var_sigma)
 
@@ -117,14 +121,12 @@ def test_full_variant_missing_gamma_matches_client():
 def test_full_variant_rescales():
     bv = _bv([0.1, 0.2], [0.1, 0.2])
     gamma = ModulationCoefficients(np.array([0.8, 1.2]), np.array([1.0, 1.0]))
-    fused = variant_variances("full", bv, gamma)
+    fused = variant_variances(FULL, bv, gamma)
     assert np.allclose(fused.var_mu_hat, [0.18, 0.44], atol=1e-12)
     assert np.allclose(fused.var_sigma_hat, [0.2, 0.4], atol=1e-12)
 
 
 def test_unknown_variant_rejected():
-    with pytest.raises(ValueError, match="variant"):
-        variant_variances("server", _bv([1.0], [1.0]), None)
     with pytest.raises(ValueError, match="variant"):
         FfaConfig(variant="server")
 
@@ -227,17 +229,10 @@ def test_augment_gate_frequency():
 
 
 def test_eps_mean_is_centered():
-    cfg = FfaConfig()
     rng = np.random.default_rng(11)
-    draws = np.array([draw_eps(cfg, rng, 4, 3)[0].mean() for _ in range(10000)])
+    draws = np.array([draw_eps(rng, 4, 3)[0].mean() for _ in range(10000)])
     # each entry averages 12 unit normals; 4 SE band for the grand mean
     assert abs(draws.mean()) < 4 / np.sqrt(12 * 10000)
-
-
-def test_shared_eps_rows():
-    cfg = FfaConfig(eps_per_sample=False)
-    em, es = draw_eps(cfg, np.random.default_rng(0), 8, 5)
-    assert em.shape == (1, 5) and es.shape == (1, 5)
 
 
 def test_transform_gradients():

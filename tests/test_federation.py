@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fedfa.federation import (ClientState, ClientTrainingError, LocalResult,
-                              RoundConfig, ServerState, aggregate, comm_cost,
+                              RoundConfig, RoundReport, ServerState,
+                              aggregate, comm_cost,
                               recompute_coeffs, run_round, select_clients,
                               sharing_variances)
 from fedfa.stats import MomentumStats
@@ -182,6 +183,34 @@ def test_run_round_full_participation_losses():
     report = run_round(server, _clients(3), 0, RoundConfig(), _const_train_fn())
     assert report.selected == [0, 1, 2]
     assert report.train_loss == {0: 1.0, 1: 2.0, 2: 3.0}
+
+
+def test_run_round_names_clients_by_id():
+    server = _server(channels=(2,))
+    clients = [ClientState(client_id=i, data=None) for i in (0, 2, 3)]
+    cfg = RoundConfig(exchange_stats=True)
+    report = run_round(server, clients, 1, cfg, _const_train_fn(fail_ids={2}))
+    assert report.selected == [0, 2, 3]
+    assert report.train_loss == {0: 1.0, 3: 4.0}
+    assert set(server.client_stats) == {0, 3}
+    record = report.record({0: 0.5, 2: 0.25, 3: 0.75})
+    assert record["round"] == 1
+    assert record["selected"] == [0, 2, 3]
+    assert record["train_loss"] == {"0": 1.0, "3": 4.0}
+    assert record["mean_train_loss"] == 2.5
+    assert record["test_acc"] == {"0": 0.5, "2": 0.25, "3": 0.75}
+    assert record["mean_test_acc"] == 0.5
+    assert record["uplink_bytes"] == 2 * record["uplink_bytes_per_client"]
+    assert record["downlink_bytes"] == 3 * record["downlink_bytes_per_client"]
+
+
+def test_round_zero_record():
+    record = RoundReport(round_index=0, selected=[], train_loss={}).record({1: 0.5})
+    assert record == {"round": 0, "selected": [], "train_loss": {},
+                      "mean_train_loss": None, "test_acc": {"1": 0.5},
+                      "mean_test_acc": 0.5, "uplink_bytes": 0,
+                      "downlink_bytes": 0, "uplink_bytes_per_client": 0,
+                      "downlink_bytes_per_client": 0}
 
 
 def test_run_round_zero_delta_keeps_model_bitwise():

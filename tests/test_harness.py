@@ -1,11 +1,13 @@
+import copy
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from fedfa import checkpoint
+from fedfa import checkpoint, experiment
 from fedfa.cli import main
 from fedfa.config import DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, evaluate, leave_one_out,
@@ -66,6 +68,19 @@ def test_config_validation():
         ExperimentConfig(dataset=DatasetConfig(kind="iid")).validate()
     with pytest.raises(ValueError, match="divisible"):
         ExperimentConfig(dataset=DatasetConfig(image_size=6)).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("random_std", -0.1), ("prox_mu", -0.01), ("server_momentum", -0.1),
+    ("server_momentum", 1.0), ("mixup_beta", 0.0)])
+def test_config_rejects_bad_knob(tmp_path, field, value):
+    # rejected whatever the algorithm, and before the run directory exists
+    cfg = tiny_cfg(algorithm="fedavg", **{field: value})
+    with pytest.raises(ValueError, match=field):
+        cfg.validate()
+    with pytest.raises(ValueError, match=field):
+        run_experiment(cfg, run_root=tmp_path)
+    assert not (tmp_path / cfg.name).exists()
 
 
 def test_config_name():
@@ -212,6 +227,75 @@ def test_stat_exchange_only_for_augmented(tmp_path):
     spec = default_net_spec(channels=2, image_size=4, classes=3)
     extra = 2 * sum(spec.stage_channels) * 8
     assert rec_a["uplink_bytes_per_client"] - rec_p["uplink_bytes_per_client"] == extra
+
+
+def _replace_everywhere(monkeypatch, name, make):
+    """Put make(original) in place of function ``name`` in every loaded
+    fedfa module that holds it, wherever it is called from."""
+    for modname, mod in list(sys.modules.items()):
+        fn = getattr(mod, name, None) if modname.split(".")[0] == "fedfa" else None
+        if callable(fn):
+            monkeypatch.setattr(mod, name, make(fn))
+
+
+def test_hook_computes_statistics_once_per_fired_gate(tmp_path, monkeypatch):
+    # one event per statistics computation (outermost call only) and one
+    # per augment call; a hook's statistics come before its augment returns
+    events, depth = [], [0]
+
+    def count(fn):
+        def wrapped(*args, **kwargs):
+            if not depth[0]:
+                events.append("stats")
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    def gate(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            events.append("fired" if out[1] is not None else "closed")
+            return out
+        return wrapped
+
+    for name in ("channel_stats", "channel_mean_std"):
+        _replace_everywhere(monkeypatch, name, count)
+    monkeypatch.setattr(experiment, "augment", gate(experiment.augment))
+    run_experiment(tiny_cfg(rounds=3), run_root=tmp_path)
+
+    per_call, pending = [], 0
+    for e in events:
+        if e == "stats":
+            pending += 1
+        else:
+            per_call.append((e, pending))
+            pending = 0
+    assert pending == 0
+    assert {e for e, _ in per_call} == {"fired", "closed"}
+    assert all(n == (1 if e == "fired" else 0) for e, n in per_call)
+
+
+def test_augment_once_per_hook_call_none_iff_gate_closed(tmp_path, monkeypatch):
+    cfg = tiny_cfg(rounds=3, local_epochs=2)
+    real, calls = experiment.augment, []
+
+    def spy(x, fused, ffa_cfg, rng, *args, **kwargs):
+        fires = copy.deepcopy(rng).random() < ffa_cfg.p  # the gate's draw
+        out = real(x, fused, ffa_cfg, rng, *args, **kwargs)
+        calls.append((fires, out[1] is not None))
+        return out
+
+    monkeypatch.setattr(experiment, "augment", spy)
+    run_experiment(cfg, run_root=tmp_path)
+    batches = -(-cfg.dataset.train_per_client // cfg.batch_size)
+    sites = len(default_net_spec().stages)
+    assert len(calls) == (cfg.rounds * cfg.clients * cfg.local_epochs
+                          * batches * sites)
+    assert all(fires == used for fires, used in calls)
+    assert {used for _, used in calls} == {True, False}
 
 
 def test_leave_one_out(tmp_path):

@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fedfa.layers import (ConvNet, NetSpec, StageSpec, _col2im, _col2im_index,
                           channel_mean_std, conv2d, default_net_spec,
                           global_avg_pool, infer_logits, init_params, linear,
-                          maxpool2x2, softmax, softmax_cross_entropy)
+                          maxpool2x2, softmax_cross_entropy)
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
 
@@ -151,6 +151,24 @@ def test_convnet_input_gets_no_gradient_and_params_match_full_graph(monkeypatch)
         want = param_grads()
     for k in want:
         assert_bits_equal(got[k], want[k])
+
+
+def test_conv2d_backward_independent_of_gradient_layout():
+    # at B=1 the NHWC reshape of an NCHW-contiguous gradient is an F-ordered
+    # view; the weight and bias sums must not depend on that
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((1, 8, 4, 4))
+        w0, b0 = rng.standard_normal((16, 8, 3, 3)), rng.standard_normal(16)
+        g = rng.standard_normal((1, 16, 4, 4))
+        nhwc = g.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+        grads = []
+        for layout in (g, nhwc):
+            w, b = Tensor(w0.copy()), Tensor(b0.copy())
+            conv2d(x, w, b, padding=1)._backward(layout)
+            grads.append((w.grad, b.grad))
+        assert np.array_equal(grads[0][0], grads[1][0])
+        assert np.array_equal(grads[0][1], grads[1][1])
 
 
 def test_conv2d_kernel_larger_than_padded_input_rejected():
@@ -303,6 +321,12 @@ def test_cross_entropy_uniform_logits():
         logits = Tensor(np.zeros((3, n)))
         loss = softmax_cross_entropy(logits, np.array([0, 1, n - 1]))
         assert abs(float(loss.data) - np.log(n)) < 1e-12
+
+
+def softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def test_cross_entropy_grad_closed_form():

@@ -23,16 +23,6 @@ def test_skips_params_without_grad():
     assert np.array_equal(p.data, [1.0])
 
 
-def test_momentum_two_steps_hand_computed():
-    p = make_param([0.0], [1.0])
-    opt = Sgd({"w": p}, lr=1.0, momentum=0.5)
-    opt.step()  # v = 1, w = -1
-    assert np.allclose(p.data, [-1.0])
-    p.grad = np.array([1.0])
-    opt.step()  # v = 0.5 + 1 = 1.5, w = -2.5
-    assert np.allclose(p.data, [-2.5])
-
-
 def test_proximal_pull_toward_anchor():
     anchor = {"w": np.array([0.0])}
     p = make_param([2.0], [0.0])
