@@ -3,7 +3,10 @@
 Runs each config (default: configs/*.json, plus configs/fedfa.json with
 ``algorithm`` replaced by each algorithm no shipped config uses) in a
 temporary run root and prints one line per run with the sha256 of its
-metrics.jsonl and model.bin. Two checkouts that print the same lines
+metrics.jsonl and model.bin. The default set ends with one leave-one-out
+run of configs/fedfa.json (held-out client 1, participation 0.75), which
+trains the non-contiguous client ids 0, 2, 3; its line hashes
+leave_one_out.json. Two checkouts that print the same lines
 produce byte-identical runs, which is the check a behaviour-preserving
 refactor must pass:
 
@@ -20,7 +23,7 @@ import os
 import tempfile
 
 from fedfa.config import ALGORITHMS, ExperimentConfig
-from fedfa.experiment import run_experiment
+from fedfa.experiment import leave_one_out, run_experiment
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "configs")
@@ -52,6 +55,12 @@ def main():
             run_dir = run_experiment(cfg, run_root=os.path.join(tmp, str(i)))
             print(f"{label}  metrics.jsonl {sha256(os.path.join(run_dir, 'metrics.jsonl'))}"
                   f"  model.bin {sha256(os.path.join(run_dir, 'model.bin'))}")
+        if not args.configs:
+            cfg = dataclasses.replace(base, participation=0.75)
+            root = os.path.join(tmp, "loo")
+            leave_one_out(cfg, 1, run_root=root)
+            path = os.path.join(root, f"{cfg.name}_loo1", "leave_one_out.json")
+            print(f"fedfa[participation=0.75,held_out=1]  leave_one_out.json {sha256(path)}")
 
 
 if __name__ == "__main__":

@@ -9,13 +9,10 @@ geometric data-size skew.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checkpoint
 from .rng import stream
 
 
@@ -33,10 +30,6 @@ class ClientData:
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-
-    @property
-    def n_train(self) -> int:
-        return self.x_train.shape[0]
 
 
 @dataclass
@@ -200,37 +193,3 @@ def _largest_remainder(quotas: np.ndarray) -> list[int]:
         for i in np.argsort(-remainders, kind="stable")[:short]:
             floors[i] += 1
     return floors.tolist()
-
-
-# ---- persistence ------------------------------------------------------------
-
-
-def export_dataset(ds: FederatedDataset, dirpath) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    tensors: dict[str, np.ndarray] = {}
-    for i, c in enumerate(ds.clients):
-        tensors[f"client{i}/x_train"] = c.x_train
-        tensors[f"client{i}/y_train"] = c.y_train.astype(np.float64)
-        tensors[f"client{i}/x_test"] = c.x_test
-        tensors[f"client{i}/y_test"] = c.y_test.astype(np.float64)
-    checkpoint.save(os.path.join(dirpath, "data.bin"), tensors)
-    meta = {"classes": ds.classes, "n_clients": len(ds.clients),
-            "metadata": ds.metadata}
-    with open(os.path.join(dirpath, "metadata.json"), "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-
-
-def import_dataset(dirpath) -> FederatedDataset:
-    with open(os.path.join(dirpath, "metadata.json")) as f:
-        meta = json.load(f)
-    tensors = checkpoint.load(os.path.join(dirpath, "data.bin"))
-    clients = []
-    for i in range(meta["n_clients"]):
-        clients.append(ClientData(
-            x_train=tensors[f"client{i}/x_train"],
-            y_train=tensors[f"client{i}/y_train"].astype(np.int64),
-            x_test=tensors[f"client{i}/x_test"],
-            y_test=tensors[f"client{i}/y_test"].astype(np.int64),
-        ))
-    return FederatedDataset(clients=clients, classes=meta["classes"],
-                            metadata=meta["metadata"])

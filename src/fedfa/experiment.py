@@ -12,13 +12,13 @@ from . import checkpoint
 from . import data as datamod
 from .augment import FfaConfig, augment, variant_variances
 from .config import DatasetConfig, ExperimentConfig
-from .federation import (ClientState, LocalResult, RoundConfig, RoundReport,
-                         ServerState, run_round)
+from .federation import (ClientState, LocalResult, RoundReport, ServerState,
+                         run_round)
 from .layers import (ConvNet, default_net_spec, infer_logits, init_params,
                      softmax_cross_entropy)
 from .optim import Sgd
 from .rng import stream
-from .stats import batch_variances, momentum_update
+from .stats import MomentumStats, batch_variances, momentum_update
 from .tensor import Tensor
 
 
@@ -61,20 +61,25 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,
 
 
 def make_train_fn(cfg: ExperimentConfig, net_spec):
-    """Build the per-client local training function for one experiment."""
+    """Build the per-client local training function for one experiment.
+
+    The FedFA variants give each client fresh momentum statistics per
+    round, updated whenever a gate fires and returned for upload.
+    """
     method = cfg.method
     ffa_cfg = (FfaConfig(p=cfg.p, variant=method.variant,
                          random_std=cfg.random_std) if method.variant else None)
-    sites = len(net_spec.stages)
+    channels = net_spec.stage_channels if ffa_cfg else ()
 
-    def train_fn(client: ClientState, round_index: int, coeffs) -> LocalResult:
-        anchor = client.params  # broadcast copy, numpy
-        tparams = {k: Tensor(v.copy()) for k, v in anchor.items()}
+    def train_fn(client: ClientState, round_index: int,
+                 params: dict[str, np.ndarray], coeffs) -> LocalResult:
+        # params is the broadcast model: read, never written
+        tparams = {k: Tensor(v.copy()) for k, v in params.items()}
         net = ConvNet(net_spec, tparams)
         opt = Sgd(tparams, lr=cfg.lr,
                   prox_mu=cfg.prox_mu if method.prox else 0.0,
-                  anchor=anchor if method.prox else None)
-        momentum = list(client.momentum)
+                  anchor=params if method.prox else None)
+        momentum = [MomentumStats.fresh(c, cfg.alpha) for c in channels]
         mix_rng = (stream(cfg.seed, "mixup", round_index, client.client_id)
                    if method.mixup else None)
 
@@ -90,7 +95,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
 
             return lambda t: augment(t, budget, ffa_cfg, rng)[0]
 
-        hooks = [make_hook(k) for k in range(sites)] if ffa_cfg else None
+        hooks = [make_hook(k) for k in range(len(channels))] if ffa_cfg else None
         x_all, y_all = client.data.x_train, client.data.y_train
         n = x_all.shape[0]
         losses = []
@@ -149,18 +154,9 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
                                 classes=ds.classes)
     init = {k: t.data for k, t in
             init_params(net_spec, stream(cfg.seed, "init")).items()}
-    exchange_stats = cfg.method.variant is not None
     server = ServerState(
         params=init,
-        stat_channels=net_spec.stage_channels if exchange_stats else (),
-    )
-    round_cfg = RoundConfig(
-        participation=cfg.participation,
-        aggregation=cfg.aggregation,
-        server_momentum=cfg.server_momentum if cfg.method.server_momentum else 0.0,
-        exchange_stats=exchange_stats,
-        alpha=cfg.alpha,
-        seed=cfg.seed,
+        stat_channels=net_spec.stage_channels if cfg.method.variant else (),
     )
     clients = [ClientState(client_id=i, data=ds.clients[i]) for i in client_ids]
     train_fn = make_train_fn(cfg, net_spec)
@@ -169,7 +165,7 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
     records = [report.record(_test_acc(server, net_spec, ds, client_ids))]
     timings = []
     for r in range(1, cfg.rounds + 1):
-        report = run_round(server, clients, r, round_cfg, train_fn)
+        report = run_round(server, clients, r, cfg, train_fn)
         records.append(report.record(_test_acc(server, net_spec, ds, client_ids)))
         timings.append(report.wall_clock)
     return server, net_spec, records, timings

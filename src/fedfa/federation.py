@@ -1,10 +1,20 @@
 """Round orchestration: selection, broadcast, aggregation, statistic exchange.
 
 One round is: select clients, broadcast the global model (plus the current
-modulation coefficients when statistic exchange is on), run local training
+modulation coefficients, once the server has any), run local training
 through a caller-supplied function, aggregate parameters, recompute
 cross-client statistic variances and modulation coefficients, and account
 for every byte that crossed the wire.
+
+The local-training contract is ``train_fn(client, round_index, params,
+coeffs) -> LocalResult``. ``params`` is the server's global model itself,
+not a copy: train_fn must not modify it. Everything a client keeps during
+training, its momentum feature statistics included, is train_fn's own and
+comes back in the LocalResult.
+
+Statistics are exchanged if and only if ``server.stat_channels`` is
+non-empty: only then are uploaded statistics stored, coefficients
+recomputed and statistic bytes priced.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import numpy as np
 
 from . import checkpoint
 from .augment import ModulationCoefficients, modulate
+from .config import ExperimentConfig
 from .stats import MomentumStats
 from .rng import stream
 
@@ -30,8 +41,6 @@ class ClientTrainingError(RuntimeError):
 class ClientState:
     client_id: int
     data: object  # ClientData; opaque here
-    params: dict | None = None  # copy of the global params, rebuilt each round
-    momentum: list[MomentumStats] = field(default_factory=list)
 
 
 @dataclass
@@ -80,16 +89,6 @@ class LocalResult:
     momentum: list[MomentumStats]
     train_loss: float
     n_samples: int
-
-
-@dataclass(frozen=True)
-class RoundConfig:
-    participation: float = 1.0
-    aggregation: str = "samples"  # or "uniform"
-    server_momentum: float = 0.0
-    exchange_stats: bool = False
-    alpha: float = 0.99
-    seed: int = 0
 
 
 def sharing_variances(stats_by_client: list[MomentumStats]):
@@ -173,12 +172,13 @@ def recompute_coeffs(server: ServerState) -> None:
 
 
 def run_round(server: ServerState, clients: list[ClientState],
-              round_index: int, cfg: RoundConfig, train_fn) -> RoundReport:
-    """Execute one communication round, mutating server and client states.
+              round_index: int, cfg: ExperimentConfig, train_fn) -> RoundReport:
+    """Execute one communication round, mutating the server state.
 
-    train_fn(client, round_index, coeffs) -> LocalResult does the local
-    optimization; a ClientTrainingError drops that client from the round.
-    The report and ``server.client_stats`` name clients by client_id.
+    train_fn(client, round_index, server.params, server.coeffs) -> LocalResult
+    does the local optimization; a ClientTrainingError drops that client
+    from the round. The report and ``server.client_stats`` name clients by
+    client_id.
     """
     t0 = time.perf_counter()
     picked = [clients[i] for i in
@@ -186,24 +186,23 @@ def run_round(server: ServerState, clients: list[ClientState],
 
     param_bytes = len(checkpoint.encode(server.params))
     # statistics travel as float64; each direction carries half the exchange
-    stat_bytes = comm_cost(server.stat_channels, 8) // 2 if cfg.exchange_stats else 0
+    stat_bytes = comm_cost(server.stat_channels, 8) // 2
+    uplink = param_bytes + stat_bytes
+    # coefficients go down only once the server has computed some
+    downlink = param_bytes + (stat_bytes if server.coeffs is not None else 0)
 
     results: list[LocalResult] = []
     train_loss: dict[int, float] = {}
     for client in picked:
         cid = client.client_id
-        client.params = {k: v.copy() for k, v in server.params.items()}
-        client.momentum = [
-            MomentumStats.fresh(c, cfg.alpha) for c in server.stat_channels
-        ]
         try:
-            res = train_fn(client, round_index, server.coeffs)
+            res = train_fn(client, round_index, server.params, server.coeffs)
         except ClientTrainingError as err:
             log.warning("client %d dropped in round %d: %s", cid, round_index, err)
             continue
         results.append(res)
         train_loss[cid] = res.train_loss
-        if cfg.exchange_stats:
+        if server.stat_channels:
             server.client_stats[cid] = res.momentum
 
     if results:
@@ -212,18 +211,19 @@ def run_round(server: ServerState, clients: list[ClientState],
         else:
             weighted = [(r.params, float(r.n_samples)) for r in results]
         agg = aggregate(weighted)
-        if cfg.server_momentum > 0.0:
+        beta = cfg.server_momentum if cfg.method.server_momentum else 0.0
+        if beta > 0.0:
             if server.momentum_buf is None:
                 server.momentum_buf = {k: np.zeros_like(v) for k, v in server.params.items()}
             for k in server.params:
                 delta = server.params[k] - agg[k]
-                buf = cfg.server_momentum * server.momentum_buf[k] + delta
+                buf = beta * server.momentum_buf[k] + delta
                 server.momentum_buf[k] = buf
                 server.params[k] = server.params[k] - buf
         else:
             server.params = agg
 
-    if cfg.exchange_stats:
+    if server.stat_channels:
         recompute_coeffs(server)
 
     # broadcast reaches every selected client; uplink only the survivors
@@ -231,9 +231,9 @@ def run_round(server: ServerState, clients: list[ClientState],
         round_index=round_index,
         selected=[c.client_id for c in picked],
         train_loss=train_loss,
-        uplink_bytes_per_client=param_bytes + stat_bytes,
-        downlink_bytes_per_client=param_bytes + stat_bytes,
-        uplink_bytes=len(results) * (param_bytes + stat_bytes),
-        downlink_bytes=len(picked) * (param_bytes + stat_bytes),
+        uplink_bytes_per_client=uplink,
+        downlink_bytes_per_client=downlink,
+        uplink_bytes=len(results) * uplink,
+        downlink_bytes=len(picked) * downlink,
         wall_clock=time.perf_counter() - t0,
     )

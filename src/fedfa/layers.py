@@ -283,10 +283,9 @@ def default_net_spec(channels: int = 3, image_size: int = 8,
 
 @dataclass
 class Tape:
-    """Forward record: activations at each hook site plus the logits."""
+    """Forward record: the activation at each hook site."""
 
     stage_outputs: list[Tensor] = field(default_factory=list)
-    logits: Tensor | None = None
 
 
 def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, Tensor]:
@@ -362,7 +361,6 @@ class ConvNet:
         b = out.shape[0]
         flat = out.reshape(b, -1)
         logits = linear(flat, self.params["head.weight"], self.params["head.bias"])
-        tape.logits = logits
         return logits, tape
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -88,18 +88,17 @@ def ffa_noise_source(net: ConvNet, x: np.ndarray, seed: int = 0,
     return noises
 
 
-def theory_check(net: ConvNet, batch, noise_source, scales,
+def theory_check(net: ConvNet, batch, noises, scales,
                  loss_kind: str = "cross_entropy") -> TheoryCheckReport:
     """Measure |L(s) - L(0) - s * linear| across noise scales.
 
-    noise_source is a list of per-stage noise arrays (None allowed for a
-    quiet stage) or a callable (net, x) -> such a list.
+    noises is a list of per-stage noise arrays (None allowed for a quiet
+    stage).
     """
     x, y = batch
     scales = [float(s) for s in scales]
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
-    noises = noise_source(net, x) if callable(noise_source) else list(noise_source)
 
     loss0, grads = site_gradients(net, x, y, loss_kind)
     lin = 0.0

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from fedfa.data import (TaskSpec, dirichlet_partition, export_dataset,
-                        import_dataset, make_base_sampler, make_feature_shift,
-                        size_skew, _largest_remainder)
+from fedfa.data import (TaskSpec, dirichlet_partition, make_base_sampler,
+                        make_feature_shift, size_skew, _largest_remainder)
 from fedfa.rng import stream
 
 SPEC = TaskSpec(classes=4, image_size=6, channels=2, noise=0.2)
@@ -81,7 +80,7 @@ def test_feature_shift_sizes_and_classes():
                             train_per_client=12, test_per_client=5, classes=4)
     assert ds.classes == 4
     for c in ds.clients:
-        assert c.n_train == 12
+        assert c.x_train.shape[0] == 12
         assert c.x_test.shape[0] == 5
 
 
@@ -103,7 +102,7 @@ def test_dirichlet_partition_covers_pool():
     assert ds.metadata["sizes"] == [c.x_train.shape[0] + c.x_test.shape[0]
                                     for c in ds.clients]
     for c in ds.clients:
-        assert c.n_train >= 1 and c.x_test.shape[0] >= 1
+        assert c.x_train.shape[0] >= 1 and c.x_test.shape[0] >= 1
 
 
 def test_dirichlet_skew_grows_as_concentration_shrinks():
@@ -176,21 +175,3 @@ def test_largest_remainder_hand_cases():
     assert _largest_remainder(np.array([1.5, 1.5])) == [2, 1]
     assert _largest_remainder(np.array([0.4, 0.4, 0.2])) == [1, 0, 0]
     assert _largest_remainder(np.array([2.0, 3.0])) == [2, 3]
-
-
-# -------------------------------------------------------------- round trip
-
-def test_export_import_round_trip(tmp_path):
-    base = make_base_sampler(SPEC, 4)
-    ds = make_feature_shift(base, 3, 0.4, seed=4, train_per_client=6,
-                            test_per_client=3)
-    export_dataset(ds, tmp_path / "d")
-    back = import_dataset(tmp_path / "d")
-    assert back.classes == ds.classes
-    assert back.metadata == ds.metadata
-    for a, b in zip(ds.clients, back.clients):
-        assert np.array_equal(a.x_train, b.x_train)
-        assert np.array_equal(a.y_train, b.y_train)
-        assert np.array_equal(a.x_test, b.x_test)
-        assert np.array_equal(a.y_test, b.y_test)
-        assert b.y_train.dtype == np.int64

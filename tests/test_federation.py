@@ -1,11 +1,13 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
 
+from fedfa import checkpoint
+from fedfa.config import ExperimentConfig
 from fedfa.federation import (ClientState, ClientTrainingError, LocalResult,
-                              RoundConfig, RoundReport, ServerState,
-                              aggregate, comm_cost,
+                              RoundReport, ServerState, aggregate, comm_cost,
                               recompute_coeffs, run_round, select_clients,
                               sharing_variances)
 from fedfa.stats import MomentumStats
@@ -150,18 +152,20 @@ def test_select_bad_participation():
 
 # ------------------------------------------------------------ round driver
 
-def _const_train_fn(delta=0.0, loss=1.0, n=10, fail_ids=()):
-    """Local step that adds delta to every parameter."""
+CFG = ExperimentConfig(algorithm="fedavg")
 
-    def fn(client, round_index, coeffs):
+
+def _const_train_fn(delta=0.0, loss=1.0, n=10, fail_ids=(), channels=(2,)):
+    """Local step that adds delta to every parameter and uploads one
+    statistic per entry of channels, mu_bar filled with the client id."""
+
+    def fn(client, round_index, params, coeffs):
         if client.client_id in fail_ids:
             raise ClientTrainingError("boom")
-        params = {k: v + delta for k, v in
-                  {n_: p_.copy() for n_, p_ in client.params.items()}.items()}
-        momentum = [MomentumStats(np.full(c.mu_bar.shape, float(client.client_id)),
-                                  np.ones_like(c.sigma_bar))
-                    for c in client.momentum]
-        return LocalResult(params=params, momentum=momentum,
+        momentum = [MomentumStats(np.full(c, float(client.client_id)), np.ones(c))
+                    for c in channels]
+        return LocalResult(params={k: v + delta for k, v in params.items()},
+                           momentum=momentum,
                            train_loss=loss + client.client_id, n_samples=n)
 
     return fn
@@ -180,7 +184,7 @@ def _clients(m=3):
 
 def test_run_round_full_participation_losses():
     server = _server()
-    report = run_round(server, _clients(3), 0, RoundConfig(), _const_train_fn())
+    report = run_round(server, _clients(3), 0, CFG, _const_train_fn())
     assert report.selected == [0, 1, 2]
     assert report.train_loss == {0: 1.0, 1: 2.0, 2: 3.0}
 
@@ -188,8 +192,7 @@ def test_run_round_full_participation_losses():
 def test_run_round_names_clients_by_id():
     server = _server(channels=(2,))
     clients = [ClientState(client_id=i, data=None) for i in (0, 2, 3)]
-    cfg = RoundConfig(exchange_stats=True)
-    report = run_round(server, clients, 1, cfg, _const_train_fn(fail_ids={2}))
+    report = run_round(server, clients, 1, CFG, _const_train_fn(fail_ids={2}))
     assert report.selected == [0, 2, 3]
     assert report.train_loss == {0: 1.0, 3: 4.0}
     assert set(server.client_stats) == {0, 3}
@@ -216,42 +219,56 @@ def test_round_zero_record():
 def test_run_round_zero_delta_keeps_model_bitwise():
     server = _server()
     before = {k: v.copy() for k, v in server.params.items()}
-    run_round(server, _clients(3), 0, RoundConfig(), _const_train_fn(delta=0.0))
+    run_round(server, _clients(3), 0, CFG, _const_train_fn(delta=0.0))
     for k in before:
         assert np.array_equal(server.params[k], before[k])
 
 
 def test_run_round_aggregates_mean_shift():
     server = _server()
-    run_round(server, _clients(2), 0, RoundConfig(), _const_train_fn(delta=0.5))
+    run_round(server, _clients(2), 0, CFG, _const_train_fn(delta=0.5))
     assert np.allclose(server.params["b"], 0.5, atol=1e-15)
 
 
 def test_run_round_byte_accounting():
     server = _server(channels=(4, 8))
-    cfg = RoundConfig(exchange_stats=True)
-    report = run_round(server, _clients(3), 0, cfg, _const_train_fn())
-    from fedfa import checkpoint
     param_bytes = len(checkpoint.encode(server.params))
     stat_bytes = 2 * (4 + 8) * 8
-    assert report.uplink_bytes_per_client == param_bytes + stat_bytes
-    assert report.uplink_bytes == 3 * (param_bytes + stat_bytes)
-    assert report.downlink_bytes == report.uplink_bytes
+    train_fn = _const_train_fn(channels=(4, 8))
+    first = run_round(server, _clients(3), 1, CFG, train_fn)
+    assert first.uplink_bytes_per_client == param_bytes + stat_bytes
+    assert first.uplink_bytes == 3 * (param_bytes + stat_bytes)
+    # no coefficients exist before the first upload: only the model goes down
+    assert first.downlink_bytes_per_client == param_bytes
+    assert first.downlink_bytes == 3 * param_bytes
+    second = run_round(server, _clients(3), 2, CFG, train_fn)
+    assert second.uplink_bytes_per_client == param_bytes + stat_bytes
+    assert second.downlink_bytes_per_client == param_bytes + stat_bytes
 
 
 def test_run_round_no_stat_exchange_cheaper():
-    server = _server(channels=(4, 8))
-    plain = run_round(_server(channels=(4, 8)), _clients(2), 0, RoundConfig(),
-                      _const_train_fn())
-    stats = run_round(server, _clients(2), 0,
-                      RoundConfig(exchange_stats=True), _const_train_fn())
+    plain = run_round(_server(channels=()), _clients(2), 0, CFG,
+                      _const_train_fn(channels=()))
+    stats = run_round(_server(channels=(4, 8)), _clients(2), 0, CFG,
+                      _const_train_fn(channels=(4, 8)))
     assert stats.uplink_bytes_per_client - plain.uplink_bytes_per_client == 2 * 12 * 8
+
+
+def test_run_round_without_stat_channels_exchanges_nothing():
+    # a train_fn that uploads statistics anyway: the server ignores them
+    server = _server(channels=())
+    param_bytes = len(checkpoint.encode(server.params))
+    for r in (1, 2):
+        report = run_round(server, _clients(2), r, CFG, _const_train_fn())
+        assert server.client_stats == {}
+        assert server.coeffs is None
+        assert report.uplink_bytes_per_client == param_bytes
+        assert report.downlink_bytes_per_client == param_bytes
 
 
 def test_run_round_collects_client_stats_and_coeffs():
     server = _server(channels=(2,))
-    cfg = RoundConfig(exchange_stats=True)
-    run_round(server, _clients(3), 0, cfg, _const_train_fn())
+    run_round(server, _clients(3), 0, CFG, _const_train_fn())
     assert set(server.client_stats) == {0, 1, 2}
     assert server.coeffs is not None and len(server.coeffs) == 1
     # mu_bar values are 0,1,2 per client: nonzero spread, weights sum to C
@@ -262,9 +279,8 @@ def test_run_round_collects_client_stats_and_coeffs():
 
 def test_run_round_failure_drops_client(caplog):
     server = _server()
-    cfg = RoundConfig(exchange_stats=True)
     with caplog.at_level(logging.WARNING, logger="fedfa"):
-        report = run_round(server, _clients(3), 0, cfg,
+        report = run_round(server, _clients(3), 0, CFG,
                            _const_train_fn(delta=1.0, fail_ids={1}))
     assert report.selected == [0, 1, 2]
     assert sorted(report.train_loss) == [0, 2]
@@ -280,7 +296,7 @@ def test_run_round_failure_drops_client(caplog):
 def test_run_round_all_fail_keeps_model():
     server = _server()
     before = {k: v.copy() for k, v in server.params.items()}
-    report = run_round(server, _clients(2), 0, RoundConfig(),
+    report = run_round(server, _clients(2), 0, CFG,
                        _const_train_fn(fail_ids={0, 1}))
     assert report.train_loss == {}
     for k in before:
@@ -289,10 +305,9 @@ def test_run_round_all_fail_keeps_model():
 
 def test_run_round_partial_participation_keeps_stale_stats():
     server = _server(channels=(2,))
-    cfg = RoundConfig(participation=1.0, exchange_stats=True)
-    run_round(server, _clients(4), 0, cfg, _const_train_fn())
+    run_round(server, _clients(4), 0, CFG, _const_train_fn())
     stale = {i: s for i, s in server.client_stats.items()}
-    half = RoundConfig(participation=0.5, exchange_stats=True, seed=3)
+    half = dataclasses.replace(CFG, participation=0.5, seed=3)
     report = run_round(server, _clients(4), 1, half, _const_train_fn())
     assert len(report.selected) == 2
     untouched = set(range(4)) - set(report.selected)
@@ -301,33 +316,43 @@ def test_run_round_partial_participation_keeps_stale_stats():
 
 
 def test_run_round_uniform_vs_sample_weights():
-    def fn(client, round_index, coeffs):
+    def fn(client, round_index, params, coeffs):
         shift = 1.0 if client.client_id == 0 else 3.0
         n = 30 if client.client_id == 0 else 10
-        return LocalResult(
-            params={k: v + shift for k, v in client.params.items()},
-            momentum=[], train_loss=0.0, n_samples=n)
+        return LocalResult(params={k: v + shift for k, v in params.items()},
+                           momentum=[], train_loss=0.0, n_samples=n)
 
     s1, s2 = _server(channels=()), _server(channels=())
-    run_round(s1, _clients(2), 0, RoundConfig(aggregation="samples"), fn)
-    run_round(s2, _clients(2), 0, RoundConfig(aggregation="uniform"), fn)
+    run_round(s1, _clients(2), 0, dataclasses.replace(CFG, aggregation="samples"), fn)
+    run_round(s2, _clients(2), 0, dataclasses.replace(CFG, aggregation="uniform"), fn)
     assert np.allclose(s1.params["b"], 1.5)   # (30*1 + 10*3)/40
     assert np.allclose(s2.params["b"], 2.0)   # (1 + 3)/2
 
 
+def _push(client, round_index, params, coeffs):
+    return LocalResult(params={k: v - 1.0 for k, v in params.items()},
+                       momentum=[], train_loss=0.0, n_samples=1)
+
+
 def test_server_momentum_accelerates():
     # two identical pushes: second update is amplified by the buffer
-    def fn(client, round_index, coeffs):
-        return LocalResult(params={k: v - 1.0 for k, v in client.params.items()},
-                           momentum=[], train_loss=0.0, n_samples=1)
-
     server = _server(channels=())
-    cfg = RoundConfig(server_momentum=0.9)
-    run_round(server, _clients(2), 0, cfg, fn)
+    cfg = ExperimentConfig(algorithm="fedavgm", server_momentum=0.9)
+    run_round(server, _clients(2), 0, cfg, _push)
     assert np.allclose(server.params["b"], -1.0)
-    run_round(server, _clients(2), 1, cfg, fn)
+    run_round(server, _clients(2), 1, cfg, _push)
     # buffer 0.9*1 + 1 = 1.9 applied on top of -1
     assert np.allclose(server.params["b"], -2.9)
+
+
+def test_server_momentum_only_for_fedavgm():
+    # fedavg's config carries server_momentum=0.9 too; it averages plainly
+    assert CFG.server_momentum == 0.9
+    server = _server(channels=())
+    run_round(server, _clients(2), 0, CFG, _push)
+    run_round(server, _clients(2), 1, CFG, _push)
+    assert np.array_equal(server.params["b"], [-2.0, -2.0])
+    assert server.momentum_buf is None
 
 
 def test_recompute_coeffs_without_stats_clears():

@@ -12,6 +12,7 @@ from fedfa.cli import main
 from fedfa.config import DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, evaluate, leave_one_out,
                               mixup_batch, run_experiment)
+from fedfa.federation import ClientState
 from fedfa.layers import ConvNet, default_net_spec, init_params
 from fedfa.report import collect_runs, emit_report
 from fedfa.rng import stream
@@ -139,7 +140,7 @@ def test_build_dataset_kinds():
         assert len(ds.clients) == 3
         assert ds.classes == 3
         for c in ds.clients:
-            assert c.n_train >= 1
+            assert c.x_train.shape[0] >= 1
 
 
 def test_run_experiment_zero_rounds(tmp_path):
@@ -227,6 +228,25 @@ def test_stat_exchange_only_for_augmented(tmp_path):
     spec = default_net_spec(channels=2, image_size=4, classes=3)
     extra = 2 * sum(spec.stage_channels) * 8
     assert rec_a["uplink_bytes_per_client"] - rec_p["uplink_bytes_per_client"] == extra
+
+
+@pytest.mark.parametrize("algo", ["fedprox", "fedfa"])
+def test_train_fn_leaves_broadcast_untouched(algo):
+    cfg = tiny_cfg(algorithm=algo)
+    ds = build_dataset(cfg.dataset, cfg.clients, cfg.seed)
+    spec = default_net_spec(channels=2, image_size=4, classes=3)
+    params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
+    before = {k: v.copy() for k, v in params.items()}
+    train_fn = experiment.make_train_fn(cfg, spec)
+    res = train_fn(ClientState(client_id=0, data=ds.clients[0]), 1, params, None)
+    for k in params:
+        assert np.array_equal(params[k], before[k])
+        assert not np.array_equal(res.params[k], before[k])
+    returned = list(res.params.values()) + [a for st in res.momentum
+                                            for a in (st.mu_bar, st.sigma_bar)]
+    assert len(res.momentum) == (len(spec.stages) if algo == "fedfa" else 0)
+    assert not any(np.shares_memory(a, p)
+                   for a in returned for p in params.values())
 
 
 def _replace_everywhere(monkeypatch, name, make):

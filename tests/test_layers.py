@@ -394,7 +394,6 @@ def test_convnet_forward_shapes_and_tape():
     logits, tape = net.forward(Tensor(x))
     assert logits.shape == (4, 6)
     assert [t.shape for t in tape.stage_outputs] == [(4, 8, 4, 4), (4, 16, 2, 2)]
-    assert tape.logits is logits
 
 
 def test_convnet_hooks_called_in_order():
