@@ -7,6 +7,11 @@ feed the variance budget, the transform and the caller's momentum update.
 Budgets come from the batch itself ("client" variant), a fixed width
 ("random"), or the batch variances rescaled by cross-client modulation
 coefficients ("full").
+
+The renormalization is one autodiff node (``ffa_transform``). Its
+backward is the closed form of the graph the formula would build, as in
+instance norm: the same numpy operations in the same order, so runs are
+bit for bit those of the graph.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .layers import channel_mean_std
 from .stats import EPS_VAR, BatchStatVariance, ChannelStats
-from .tensor import Tensor
+from .tensor import Tensor, _unbroadcast
 
 VARIANTS = ("full", "client", "random")
 
@@ -116,24 +121,61 @@ def _shifts(fused: FusedVariance, eps_mu, eps_sigma):
     return shift(eps_mu, fused.var_mu_hat), shift(eps_sigma, fused.var_sigma_hat)
 
 
-def _resample(x: Tensor, mu: Tensor, sigma: Tensor, fused: FusedVariance,
-              eps_mu, eps_sigma) -> Tensor:
-    """Renormalize x from its statistics (mu, sigma) onto shifted ones."""
+def _first(g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A node's first gradient as ``Tensor._accumulate`` stores it: g + 0.0
+    in like's memory layout."""
+    return np.add(g, 0.0, out=np.empty_like(like))
+
+
+def ffa_transform(x: Tensor, fused, eps_mu: np.ndarray,
+                  eps_sigma: np.ndarray, eps_var: float = EPS_VAR) -> Tensor:
+    """Deterministic core of the augmentation, Tensor in, one Tensor node out.
+
+    Renormalizes x from its statistics (mu, sigma) onto the shifted ones:
+    (sigma + d_sigma) * (x - mu) / sigma + (mu + d_mu). fused is the
+    variance budget, or a function that builds it from the map's
+    ``ChannelStats``. eps_mu/eps_sigma broadcast against [B,C]; gradients
+    flow through the feature map and its statistics, not through the
+    variance budgets.
+    """
+    xd = x.data
+    mu, sigma = channel_mean_std(xd, eps_var=eps_var)
+    if callable(fused):
+        fused = fused(ChannelStats.of(mu, sigma))
     d_mu, d_sigma = _shifts(fused, eps_mu, eps_sigma)
     mu_hat = mu + d_mu
     sigma_hat = sigma + d_sigma
-    return sigma_hat * ((x - mu) / sigma) + mu_hat
+    xc = xd - mu
+    q = xc / sigma
+    out_data = sigma_hat * q + mu_hat
+    out = Tensor(out_data, (x,))
+    inv_n = 1.0 / float(x.shape[2] * x.shape[3])
 
+    def back(g):
+        # The closures of the graph out = p + mu_hat, p = sigma_hat * q,
+        # q = xc / sigma, xc = x - mu, sigma = sqrt(var + eps_var),
+        # var = mean((x - mu)**2), mu = mean(x), in its topological order.
+        # The graph's two x - mu nodes hold equal arrays; xc stands for both.
+        # A node's first gradient adds +0.0 (a second +0.0 would change no
+        # bit), and x takes its three terms in the graph's order.
+        g_p = _first(g, out_data)
+        g_mu_hat = _first(_unbroadcast(g, mu_hat.shape), mu_hat)
+        g_sigma = _first(_unbroadcast(g_p * q, sigma_hat.shape), sigma)
+        g_q = _first(g_p * sigma_hat, q)
+        g_xc = _first(g_q / sigma, xc)
+        g_sigma += _unbroadcast(-g_q * xc / sigma**2, sigma.shape)
+        x._accumulate(g_xc)
+        g_mu = _first(_unbroadcast(-g_xc, mu.shape), mu)
+        g_var = _first(g_sigma * 0.5 / sigma, sigma)
+        g_sq = _first(np.broadcast_to(_first(g_var * inv_n, sigma), xc.shape), xc)
+        g_d = _first(g_sq * 2 * xc, xc)
+        x._accumulate(g_d)
+        g_mu += _unbroadcast(-g_d, mu.shape)
+        g_mu += g_mu_hat
+        x._accumulate(np.broadcast_to(_first(g_mu * inv_n, mu), x.shape))
 
-def ffa_transform(x: Tensor, fused: FusedVariance, eps_mu: np.ndarray,
-                  eps_sigma: np.ndarray, eps_var: float = EPS_VAR) -> Tensor:
-    """Deterministic core of the augmentation, Tensor in, Tensor out.
-
-    eps_mu/eps_sigma broadcast against [B,C]; gradients flow through the
-    feature map and its statistics, not through the variance budgets.
-    """
-    mu, sigma = channel_mean_std(x, eps_var=eps_var)
-    return _resample(x, mu, sigma, fused, eps_mu, eps_sigma)
+    out._backward = back
+    return out
 
 
 def draw_eps(rng: np.random.Generator, batch: int,
@@ -149,7 +191,8 @@ def augment(x: Tensor, fused, cfg: FfaConfig, rng: np.random.Generator,
 
     fused is the variance budget, or a function that builds it from the
     map's ``ChannelStats``. The gate is drawn first: only a fired gate
-    computes the statistics, once, and calls that function with them.
+    computes the statistics, once, and calls that function with them;
+    x_hat is then one ``ffa_transform`` node.
 
     Returns (x_hat, used_eps). used_eps is None when the gate stayed
     closed (eval mode, p == 0, or an unlucky draw). Passing eps forces
@@ -160,10 +203,7 @@ def augment(x: Tensor, fused, cfg: FfaConfig, rng: np.random.Generator,
             return x, None
         eps = draw_eps(rng, x.shape[0], x.shape[1])
     eps_mu, eps_sigma = eps
-    mu, sigma = channel_mean_std(x, eps_var=cfg.eps_var)
-    if callable(fused):
-        fused = fused(ChannelStats.of(mu, sigma))
-    x_hat = _resample(x, mu, sigma, fused, eps_mu, eps_sigma)
+    x_hat = ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var)
     return x_hat, (eps_mu, eps_sigma)
 
 
@@ -174,6 +214,6 @@ def noise_view(x: np.ndarray, fused: FusedVariance, used_eps,
     e = eps_sigma * S_sigma * (x - mu)/sigma + eps_mu * S_mu, so that
     x + e reproduces the augmented map exactly (up to rounding).
     """
-    mu, sigma = (t.data for t in channel_mean_std(Tensor(x), eps_var=eps_var))
+    mu, sigma = channel_mean_std(x, eps_var=eps_var)
     d_mu, d_sigma = _shifts(fused, *used_eps)
     return d_sigma * (x - mu) / sigma + d_mu

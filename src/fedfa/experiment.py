@@ -147,7 +147,8 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
 
     Returns (server, net_spec, records, timings): one metrics record per
     round, round 0 being the evaluation of the freshly initialized global
-    model, and the wall clock of each round.
+    model, and per round the seconds of run_round, of its local training
+    and aggregation, and of the evaluation after it.
     """
     net_spec = default_net_spec(channels=cfg.dataset.channels,
                                 image_size=cfg.dataset.image_size,
@@ -166,8 +167,11 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
     timings = []
     for r in range(1, cfg.rounds + 1):
         report = run_round(server, clients, r, cfg, train_fn)
-        records.append(report.record(_test_acc(server, net_spec, ds, client_ids)))
-        timings.append(report.wall_clock)
+        t0 = time.perf_counter()
+        test_acc = _test_acc(server, net_spec, ds, client_ids)
+        timings.append((report.wall_clock, report.train_seconds,
+                        report.aggregate_seconds, time.perf_counter() - t0))
+        records.append(report.record(test_acc))
     return server, net_spec, records, timings
 
 
@@ -189,8 +193,9 @@ def run_experiment(cfg: ExperimentConfig, run_root=None) -> str:
     checkpoint.save(os.path.join(run_dir, "model.bin"), server.params)
     with open(os.path.join(run_dir, "timing.txt"), "w") as f:
         f.write(f"total_seconds {time.perf_counter() - t0:.3f}\n")
-        for i, w in enumerate(timings, start=1):
-            f.write(f"round{i}_seconds {w:.3f}\n")
+        for i, (w, train, agg, ev) in enumerate(timings, start=1):
+            f.write(f"round{i}_seconds {w:.3f} train {train:.3f} "
+                    f"aggregate {agg:.3f} eval {ev:.3f}\n")
     return run_dir
 
 

@@ -65,9 +65,11 @@ class RoundReport:
     uplink_bytes: int = 0
     downlink_bytes: int = 0
     wall_clock: float = 0.0
+    train_seconds: float = 0.0  # inside train_fn, all selected clients
+    aggregate_seconds: float = 0.0  # averaging, server momentum, coefficients
 
     def record(self, test_acc: dict[int, float]) -> dict:
-        """The round's metrics.jsonl record; the wall clock stays out."""
+        """The round's metrics.jsonl record; the timings stay out."""
         losses = list(self.train_loss.values())
         return {
             "round": self.round_index,
@@ -193,6 +195,7 @@ def run_round(server: ServerState, clients: list[ClientState],
 
     results: list[LocalResult] = []
     train_loss: dict[int, float] = {}
+    t_train = time.perf_counter()
     for client in picked:
         cid = client.client_id
         try:
@@ -205,6 +208,7 @@ def run_round(server: ServerState, clients: list[ClientState],
         if server.stat_channels:
             server.client_stats[cid] = res.momentum
 
+    t_agg = time.perf_counter()
     if results:
         if cfg.aggregation == "uniform":
             weighted = [(r.params, 1.0) for r in results]
@@ -225,6 +229,7 @@ def run_round(server: ServerState, clients: list[ClientState],
 
     if server.stat_channels:
         recompute_coeffs(server)
+    t_end = time.perf_counter()
 
     # broadcast reaches every selected client; uplink only the survivors
     return RoundReport(
@@ -235,5 +240,7 @@ def run_round(server: ServerState, clients: list[ClientState],
         downlink_bytes_per_client=downlink,
         uplink_bytes=len(results) * uplink,
         downlink_bytes=len(picked) * downlink,
-        wall_clock=time.perf_counter() - t0,
+        wall_clock=t_end - t0,
+        train_seconds=t_agg - t_train,
+        aggregate_seconds=t_end - t_agg,
     )

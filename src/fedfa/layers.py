@@ -6,18 +6,21 @@ where stochastic feature augmentation plugs in. The classifier head is a
 single linear layer on the flattened final feature map.
 
 Convolution and pooling are plain-numpy kernels (``_conv_forward``,
-``_pool_forward``) shared by two callers: the autodiff ops ``conv2d`` and
-``maxpool2x2``, which add backward closures, and the graph-free inference
-path ``infer_logits``/``ConvNet.predict``, which builds no Tensors. Both
-run the same arithmetic, so predictions equal the argmax of the training
-forward bit for bit.
+``_pool_forward``) shared by two callers: the autodiff ops ``conv2d``,
+``relu_maxpool2x2`` and ``maxpool2x2``, which add backward closures, and
+the graph-free inference path ``infer_logits``/``ConvNet.predict``, which
+builds no Tensors. Both run the same arithmetic, so predictions equal the
+argmax of the training forward bit for bit.
 
 In training, ``ConvNet.forward`` hands the first conv the raw input array:
 ``conv2d`` treats an ndarray as a constant, so no input gradient is
 computed. For Tensor inputs the conv backward scatters patch gradients
 back with ``_col2im``, one ``np.bincount`` over a cached tap-major index,
 which sums each pixel's taps in the same order as a zero-filled buffer
-with one strided ``+=`` per tap, bit for bit.
+with one strided ``+=`` per tap, bit for bit. A stage with both relu and
+pool is one ``relu_maxpool2x2`` node, whose backward gives the gradient of
+``maxpool2x2(z.relu())`` bit for bit without the relu node, the
+zero-filled pool gradient or the relu mask.
 """
 
 from __future__ import annotations
@@ -185,6 +188,44 @@ def maxpool2x2(x: Tensor) -> Tensor:
     return out
 
 
+def relu_maxpool2x2(z: Tensor) -> Tensor:
+    """``maxpool2x2(z.relu())`` as one node, values and gradients bit for bit.
+
+    relu zeroes every window whose max is <= 0, so only windows with a
+    positive max pass gradient, to their first maximum; those windows are
+    where the graph's relu mask is one. The backward compares z, viewed in
+    the conv output's NHWC memory as [B,H/2,2,W/2,2,C], with the pooled
+    max once. Ties are rare among positive values: only when the hits
+    outnumber the positive windows are the taps masked in argmax order.
+    The gradient is written straight into NHWC memory, where the conv
+    backward reads it.
+    """
+    pooled = _pool_forward(np.maximum(z.data, 0.0))
+    out = Tensor(pooled, (z,))
+
+    def back(g):
+        b, c, h, w = z.shape
+        win = (b, h // 2, 1, w // 2, 1, c)
+        top = pooled.transpose(0, 2, 3, 1).reshape(win)
+        live = top > 0
+        # NaN equals nothing, so windows without a positive max get no hit
+        top = np.where(live, top, np.nan)
+        hit = z.data.transpose(0, 2, 3, 1).reshape(b, h // 2, 2, w // 2, 2, c) == top
+        if np.count_nonzero(hit) != np.count_nonzero(live):
+            # a positive max held by two taps: keep the first, as argmax does
+            free = np.ones((b, h // 2, w // 2, c), dtype=bool)
+            for i, j in _POOL_TAPS:
+                tap = hit[:, :, i, :, j, :]
+                tap &= free
+                free &= ~tap
+        gw = np.add(g.transpose(0, 2, 3, 1), 0.0, order="C").reshape(win)
+        gz = np.where(hit, gw, 0.0).reshape(b, h, w, c).transpose(0, 3, 1, 2)
+        z._accumulate(gz)
+
+    out._backward = back
+    return out
+
+
 def global_avg_pool(x: Tensor) -> Tensor:
     """Spatial mean per sample per channel: [B,C,H,W] -> [B,C]."""
     return x.mean(axis=(2, 3))
@@ -218,18 +259,25 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return out
 
 
-def channel_mean_std(x: Tensor, eps_var: float = 1e-6) -> tuple[Tensor, Tensor]:
-    """Differentiable per-sample per-channel spatial statistics, the one
-    implementation of them (``stats.channel_stats`` views it as numpy).
+def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = 1e-6):
+    """Per-sample per-channel spatial statistics, the one implementation of
+    them.
 
-    Returns (mu, sigma), both shaped [B,C,1,1]. sigma is the square root of
-    the population spatial variance plus eps_var, which keeps the node
-    differentiable on constant channels.
+    Returns (mu, sigma), both shaped [B,C,1,1]: differentiable Tensors for
+    a Tensor x, arrays for an ndarray x (``stats.channel_stats`` and the
+    fused augmentation node), from the same numpy arithmetic. sigma is the
+    square root of the population spatial variance plus eps_var, which
+    keeps the node differentiable on constant channels.
     """
-    mu = x.mean(axis=(2, 3), keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=(2, 3), keepdims=True)
-    sigma = (var + eps_var).sqrt()
-    return mu, sigma
+    if isinstance(x, Tensor):
+        mu = x.mean(axis=(2, 3), keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=(2, 3), keepdims=True)
+        return mu, (var + eps_var).sqrt()
+    x = np.asarray(x, dtype=np.float64)
+    inv_n = 1.0 / float(x.shape[2] * x.shape[3])
+    mu = x.sum(axis=(2, 3), keepdims=True) * inv_n
+    var = ((x - mu) ** 2).sum(axis=(2, 3), keepdims=True) * inv_n
+    return mu, np.sqrt(var + eps_var)
 
 
 # ---- the conv net -----------------------------------------------------------
@@ -351,9 +399,11 @@ class ConvNet:
                 stride=s.stride,
                 padding=s.padding,
             )
-            if s.relu:
+            if s.relu and s.pool:
+                out = relu_maxpool2x2(out)
+            elif s.relu:
                 out = out.relu()
-            if s.pool:
+            elif s.pool:
                 out = maxpool2x2(out)
             tape.stage_outputs.append(out)
             if hooks is not None and i < len(hooks) and hooks[i] is not None:

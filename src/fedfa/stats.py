@@ -3,7 +3,7 @@
 All estimators here are population (biased) moments: spatial variance is
 averaged over H*W, batch variance over B. The spatial moments have one
 implementation, ``layers.channel_mean_std``; ``ChannelStats`` views its
-output as [B,C] arrays, and ``channel_stats`` applies it to a numpy map.
+array output as [B,C], and ``channel_stats`` applies it to a numpy map.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import channel_mean_std
-from .tensor import Tensor
 
 EPS_VAR = 1e-6
 
@@ -26,9 +25,9 @@ class ChannelStats:
     sigma: np.ndarray
 
     @classmethod
-    def of(cls, mu: Tensor, sigma: Tensor) -> "ChannelStats":
-        """View ``channel_mean_std``'s [B,C,1,1] outputs as [B,C] arrays."""
-        return cls(mu=mu.data[:, :, 0, 0], sigma=sigma.data[:, :, 0, 0])
+    def of(cls, mu: np.ndarray, sigma: np.ndarray) -> "ChannelStats":
+        """View ``channel_mean_std``'s [B,C,1,1] arrays as [B,C]."""
+        return cls(mu=mu[:, :, 0, 0], sigma=sigma[:, :, 0, 0])
 
 
 def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> ChannelStats:
@@ -40,7 +39,7 @@ def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> ChannelStats:
         raise ValueError(f"expected [B,C,H,W], got shape {x.shape}")
     if x.shape[2] * x.shape[3] == 0:
         raise ValueError("empty spatial extent")
-    return ChannelStats.of(*channel_mean_std(Tensor(x), eps_var=eps_var))
+    return ChannelStats.of(*channel_mean_std(x, eps_var=eps_var))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,25 @@
-"""Straightforward reference versions of the training backward kernels.
+"""Straightforward reference versions of the training kernels.
 
 ``conv2d`` treats every input as a Tensor, so the first conv of a net
 computes an input gradient nobody reads, and it scatters patch gradients
-back with one strided ``+=`` per kernel tap. ``accumulate`` zero-fills a
-new gradient buffer, then adds. ``install`` swaps both into the library;
-runs with and without them must agree bit for bit.
+back with one strided ``+=`` per kernel tap. ``relu_maxpool2x2`` is the
+relu node followed by the ``maxpool2x2`` node. ``ffa_transform`` builds
+the augmentation as the 19-node graph its formula spells out, statistics
+included. ``accumulate`` zero-fills a new gradient buffer, then adds.
+``install`` swaps all four into the library; runs with and without them
+must agree bit for bit.
 """
+
+import importlib
 
 import numpy as np
 
 from fedfa import layers
+from fedfa.stats import EPS_VAR, ChannelStats
 from fedfa.tensor import Tensor
+
+# the module: the package name fedfa.augment is the function
+augment = importlib.import_module("fedfa.augment")
 
 
 def col2im_slices(gcols, shape, kh, kw, stride, padding):
@@ -45,6 +54,20 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     return out
 
 
+def relu_maxpool2x2(z):
+    return layers.maxpool2x2(z.relu())
+
+
+def ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=EPS_VAR):
+    mu, sigma = layers.channel_mean_std(x, eps_var=eps_var)
+    if callable(fused):
+        fused = fused(ChannelStats.of(mu.data, sigma.data))
+    d_mu, d_sigma = augment._shifts(fused, eps_mu, eps_sigma)
+    mu_hat = mu + d_mu
+    sigma_hat = sigma + d_sigma
+    return sigma_hat * ((x - mu) / sigma) + mu_hat
+
+
 def accumulate(self, g):
     if self.grad is None:
         self.grad = np.zeros_like(self.data)
@@ -53,4 +76,6 @@ def accumulate(self, g):
 
 def install(monkeypatch):
     monkeypatch.setattr(layers, "conv2d", conv2d)
+    monkeypatch.setattr(layers, "relu_maxpool2x2", relu_maxpool2x2)
+    monkeypatch.setattr(augment, "ffa_transform", ffa_transform)
     monkeypatch.setattr(Tensor, "_accumulate", accumulate)

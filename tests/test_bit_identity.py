@@ -1,10 +1,12 @@
-"""Whole runs with the production backward kernels against the references.
+"""Whole runs with the production training kernels against the references.
 
-The conv stack stores its outputs NHWC in memory, and the FedFA hooks and
-the backward pass reduce over them, so a change of memory layout anywhere
-in the training step changes summation orders and thus the low bits of a
-run. Stored hashes would tie this check to one machine's BLAS; comparing
-two runs in one process does not.
+The references are the unfused graphs: relu then maxpool2x2, the
+augmentation hook as 19 Tensor nodes, the tap-by-tap conv backward and a
+zero-filling gradient accumulator. The conv stack stores its outputs NHWC
+in memory, and the FedFA hooks and the backward pass reduce over them, so
+a change of memory layout or summation order anywhere in the training step
+changes the low bits of a run. Stored hashes would tie this check to one
+machine's BLAS; comparing two runs in one process does not.
 """
 
 import dataclasses
@@ -36,7 +38,9 @@ def run_bytes(cfg, root):
     ("fedfa_dirichlet", {}),
     ("fedfa", {}),
     ("fedfa", {"batch_size": 47}),
-], ids=["fedfa_dirichlet", "fedfa", "fedfa_batch47"])
+    ("fedfa", {"algorithm": "fedfa-c"}),
+    ("fedfa", {"algorithm": "fedfa-r"}),
+], ids=["fedfa_dirichlet", "fedfa", "fedfa_batch47", "fedfa-c", "fedfa-r"])
 def test_runs_byte_identical_to_reference_kernels(config, changes, tmp_path,
                                                   monkeypatch):
     cfg = dataclasses.replace(

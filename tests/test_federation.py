@@ -1,11 +1,14 @@
 import dataclasses
 import logging
+import os
+import time
 
 import numpy as np
 import pytest
 
 from fedfa import checkpoint
-from fedfa.config import ExperimentConfig
+from fedfa.config import DatasetConfig, ExperimentConfig
+from fedfa.experiment import run_experiment
 from fedfa.federation import (ClientState, ClientTrainingError, LocalResult,
                               RoundReport, ServerState, aggregate, comm_cost,
                               recompute_coeffs, run_round, select_clients,
@@ -214,6 +217,37 @@ def test_round_zero_record():
                       "mean_test_acc": 0.5, "uplink_bytes": 0,
                       "downlink_bytes": 0, "uplink_bytes_per_client": 0,
                       "downlink_bytes_per_client": 0}
+
+
+def test_run_round_times_training_and_aggregation():
+    def slow(client, round_index, params, coeffs):
+        time.sleep(0.01)
+        return _const_train_fn()(client, round_index, params, coeffs)
+
+    report = run_round(_server(), _clients(2), 1, CFG, slow)
+    assert report.train_seconds >= 0.02
+    assert report.aggregate_seconds >= 0.0
+    assert report.train_seconds + report.aggregate_seconds <= report.wall_clock
+
+
+def test_timing_lines_split_each_round(tmp_path):
+    ds = DatasetConfig(classes=3, image_size=4, channels=2, noise=0.5,
+                       train_per_client=8, test_per_client=4)
+    cfg = ExperimentConfig(algorithm="fedfa", rounds=2, batch_size=8,
+                           clients=2, dataset=ds)
+    run_dir = run_experiment(cfg, run_root=tmp_path)
+    with open(os.path.join(run_dir, "timing.txt")) as f:
+        lines = f.read().splitlines()
+    assert lines[0].startswith("total_seconds ")
+    assert len(lines) == 1 + cfg.rounds
+    for i, line in enumerate(lines[1:], start=1):
+        key, wall, *phases = line.split()
+        assert key == f"round{i}_seconds"
+        assert phases[0::2] == ["train", "aggregate", "eval"]
+        train, agg, ev = map(float, phases[1::2])
+        assert min(train, agg, ev) >= 0.0
+        # each figure is rounded to the millisecond
+        assert train + agg <= float(wall) + 0.002
 
 
 def test_run_round_zero_delta_keeps_model_bitwise():
