@@ -49,6 +49,8 @@ class DatasetConfig:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.classes < 2:
             raise ValueError("need at least 2 classes")
+        if self.channels < 1:
+            raise ValueError("channels must be positive")
         if self.image_size % 4 != 0:
             raise ValueError("image_size must be divisible by 4 (two pool layers)")
         if self.train_per_client < 1 or self.test_per_client < 1:

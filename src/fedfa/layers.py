@@ -12,6 +12,14 @@ the graph-free inference path ``infer_logits``/``ConvNet.predict``, which
 builds no Tensors. Both run the same arithmetic, so predictions equal the
 argmax of the training forward bit for bit.
 
+Both kernels work in the memory order the conv matmul writes, NHWC. The
+conv adds its bias in place along whole per-sample rows, the same
+elementwise add as a broadcast. The pool folds its four taps over the NHWC
+view, in reverse tap order so the first maximum wins a tie, and relu runs
+after the pool on the quarter-size array. That order is bit-identical to
+relu first: np.maximum returns its second operand on ties, so a window
+whose max is <= 0 gives +0.0 either way, and a positive max is unchanged.
+
 In training, ``ConvNet.forward`` hands the first conv the raw input array:
 ``conv2d`` treats an ndarray as a constant, so no input gradient is
 computed. For Tensor inputs the conv backward scatters patch gradients
@@ -111,7 +119,13 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
             f"conv2d: input has {cin} channels, weight expects {cin_w}"
         )
     cols, (ho, wo) = _im2col(x, kh, kw, stride, padding)
-    out_flat = cols @ weight.reshape(cout, -1).T + bias
+    out_flat = cols @ weight.reshape(cout, -1).T
+    # the same elementwise add as broadcasting [M, Cout] + [Cout], in place
+    # along whole per-sample rows instead of Cout-long inner loops; the bias
+    # is tiled per call, since SGD changes it every step, with repeat rather
+    # than np.tile, which adds microseconds of Python per call
+    rows = out_flat.reshape(b, ho * wo * cout)
+    np.add(rows, bias[np.newaxis].repeat(ho * wo, axis=0).ravel(), out=rows)
     return out_flat.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2), cols
 
 
@@ -122,19 +136,24 @@ _POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
 def _pool_forward(x: np.ndarray) -> np.ndarray:
     """2x2 max with stride 2 into a C-contiguous [B,C,H/2,W/2] array.
 
-    np.maximum returns its second operand on ties, so the taps are folded
-    in reverse to keep the first maximum (the one argmax would pick; this
-    only shows on signed zeros). The output is made C-contiguous on
-    purpose: hooks reduce it over (H, W), and a different memory layout
-    changes the summation order and thus the low bits of those statistics.
+    The taps are folded over the NHWC view of x, the memory order conv
+    outputs have, so each np.maximum streams whole rows; the values do not
+    depend on the view. np.maximum returns its second operand on ties, so
+    the taps are folded in reverse to keep the first maximum (the one
+    argmax would pick; this only shows on signed zeros). The output is made
+    C-contiguous on purpose: hooks reduce it over (H, W), and a different
+    memory layout changes the summation order and thus the low bits of
+    those statistics.
     """
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    x11, x10, x01, x00 = (x[:, :, i::2, j::2] for i, j in reversed(_POOL_TAPS))
-    out = np.maximum(x11, x10, out=np.empty((b, c, h // 2, w // 2)))
+    nhwc = x.transpose(0, 2, 3, 1)
+    x11, x10, x01, x00 = (nhwc[:, i::2, j::2] for i, j in reversed(_POOL_TAPS))
+    out = np.maximum(x11, x10)
     np.maximum(out, x01, out=out)
-    return np.maximum(out, x00, out=out)
+    np.maximum(out, x00, out=out)
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 # ---- autodiff ops -----------------------------------------------------------
@@ -191,6 +210,11 @@ def maxpool2x2(x: Tensor) -> Tensor:
 def relu_maxpool2x2(z: Tensor) -> Tensor:
     """``maxpool2x2(z.relu())`` as one node, values and gradients bit for bit.
 
+    The forward pools first and applies relu to the quarter-size result:
+    np.maximum returns its second operand on ties, so a window whose max is
+    <= 0 (signed zeros included) gives +0.0 in either order, and a positive
+    max is the same value either way.
+
     relu zeroes every window whose max is <= 0, so only windows with a
     positive max pass gradient, to their first maximum; those windows are
     where the graph's relu mask is one. The backward compares z, viewed in
@@ -200,7 +224,8 @@ def relu_maxpool2x2(z: Tensor) -> Tensor:
     The gradient is written straight into NHWC memory, where the conv
     backward reads it.
     """
-    pooled = _pool_forward(np.maximum(z.data, 0.0))
+    pooled = _pool_forward(z.data)
+    np.maximum(pooled, 0.0, out=pooled)
     out = Tensor(pooled, (z,))
 
     def back(g):
@@ -364,10 +389,10 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     for i, s in enumerate(spec.stages):
         out, _ = _conv_forward(out, params[f"conv{i}.weight"],
                                params[f"conv{i}.bias"], s.stride, s.padding)
-        if s.relu:
-            out = np.maximum(out, 0.0)
         if s.pool:
             out = _pool_forward(out)
+        if s.relu:
+            out = np.maximum(out, 0.0, out=out)
     flat = out.reshape(out.shape[0], -1)
     return flat @ params["head.weight"] + params["head.bias"]
 

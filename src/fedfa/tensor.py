@@ -4,7 +4,7 @@ A Tensor wraps a float64 ndarray plus an optional gradient buffer. Ops build
 an implicit DAG through parent links and per-node backward closures;
 ``Tensor.backward()`` runs the topological sweep. Only the handful of ops the
 training stack needs are implemented (elementwise arithmetic with
-broadcasting, matmul, reductions, reshape, relu, sqrt/exp/log).
+broadcasting, matmul, reductions, reshape, relu, sqrt).
 Convolution and pooling live in ``layers``.
 """
 
@@ -55,9 +55,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -182,17 +179,6 @@ class Tensor:
         out = Tensor(np.sqrt(self.data), (self,))
         y = out.data  # not out: a closure holding out would be a cycle
         out._backward = lambda g: self._accumulate(g * 0.5 / y)
-        return out
-
-    def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-        y = out.data
-        out._backward = lambda g: self._accumulate(g * y)
-        return out
-
-    def log(self):
-        out = Tensor(np.log(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
         return out
 
     def relu(self):

@@ -1,12 +1,15 @@
-"""Straightforward reference versions of the training kernels.
+"""Straightforward reference versions of the training and inference kernels.
 
-``conv2d`` treats every input as a Tensor, so the first conv of a net
-computes an input gradient nobody reads, and it scatters patch gradients
-back with one strided ``+=`` per kernel tap. ``relu_maxpool2x2`` is the
-relu node followed by the ``maxpool2x2`` node. ``ffa_transform`` builds
-the augmentation as the 19-node graph its formula spells out, statistics
+``conv_forward`` adds the bias by broadcasting [M, Cout] + [Cout].
+``pool_forward`` folds four strided taps of the NCHW view. ``conv2d``
+treats every input as a Tensor, so the first conv of a net computes an
+input gradient nobody reads, and it scatters patch gradients back with one
+strided ``+=`` per kernel tap. ``relu_maxpool2x2`` is the full-size relu
+node followed by the ``maxpool2x2`` node. ``ffa_transform`` builds the
+augmentation as the 19-node graph its formula spells out, statistics
 included. ``accumulate`` zero-fills a new gradient buffer, then adds.
-``install`` swaps all four into the library; runs with and without them
+``install`` swaps all of them into the library, the two forward kernels
+included, so ``infer_logits`` runs on them too; runs with and without them
 must agree bit for bit.
 """
 
@@ -20,6 +23,25 @@ from fedfa.tensor import Tensor
 
 # the module: the package name fedfa.augment is the function
 augment = importlib.import_module("fedfa.augment")
+
+
+def conv_forward(x, weight, bias, stride, padding):
+    b = x.shape[0]
+    cout, _, kh, kw = weight.shape
+    cols, (ho, wo) = layers._im2col(x, kh, kw, stride, padding)
+    out_flat = cols @ weight.reshape(cout, -1).T + bias
+    return out_flat.reshape(b, ho, wo, cout).transpose(0, 3, 1, 2), cols
+
+
+def pool_forward(x):
+    # np.maximum keeps its second operand on ties: folding the taps in
+    # reverse keeps the first maximum
+    b, c, h, w = x.shape
+    x11, x10, x01, x00 = (x[:, :, i::2, j::2]
+                          for i, j in ((1, 1), (1, 0), (0, 1), (0, 0)))
+    out = np.maximum(x11, x10, out=np.empty((b, c, h // 2, w // 2)))
+    np.maximum(out, x01, out=out)
+    return np.maximum(out, x00, out=out)
 
 
 def col2im_slices(gcols, shape, kh, kw, stride, padding):
@@ -39,8 +61,8 @@ def col2im_slices(gcols, shape, kh, kw, stride, padding):
 def conv2d(x, weight, bias, stride=1, padding=0):
     x = x if isinstance(x, Tensor) else Tensor(x)
     cout, _, kh, kw = weight.shape
-    out_data, cols = layers._conv_forward(x.data, weight.data, bias.data,
-                                          stride, padding)
+    out_data, cols = conv_forward(x.data, weight.data, bias.data, stride,
+                                  padding)
     out = Tensor(out_data, (x, weight, bias))
 
     def back(g):
@@ -75,6 +97,8 @@ def accumulate(self, g):
 
 
 def install(monkeypatch):
+    monkeypatch.setattr(layers, "_conv_forward", conv_forward)
+    monkeypatch.setattr(layers, "_pool_forward", pool_forward)
     monkeypatch.setattr(layers, "conv2d", conv2d)
     monkeypatch.setattr(layers, "relu_maxpool2x2", relu_maxpool2x2)
     monkeypatch.setattr(augment, "ffa_transform", ffa_transform)

@@ -1,12 +1,16 @@
-"""Whole runs with the production training kernels against the references.
+"""Whole runs with the production kernels against the references.
 
-The references are the unfused graphs: relu then maxpool2x2, the
+The references are the unfused graphs: full-size relu then maxpool2x2, the
 augmentation hook as 19 Tensor nodes, the tap-by-tap conv backward and a
-zero-filling gradient accumulator. The conv stack stores its outputs NHWC
-in memory, and the FedFA hooks and the backward pass reduce over them, so
-a change of memory layout or summation order anywhere in the training step
-changes the low bits of a run. Stored hashes would tie this check to one
-machine's BLAS; comparing two runs in one process does not.
+zero-filling gradient accumulator. They also replace the forward kernels
+that evaluation shares with training, with a broadcast conv bias add and a
+pool fold over the NCHW view, so the test accuracies in metrics.jsonl come
+from the references too; the fedavg run checks a training step with no
+hook. The conv stack stores its outputs NHWC in memory, and the FedFA
+hooks and the backward pass reduce over them, so a change of memory layout
+or summation order anywhere in the training step changes the low bits of
+a run. Stored hashes would tie this check to one machine's BLAS; comparing
+two runs in one process does not.
 """
 
 import dataclasses
@@ -35,12 +39,13 @@ def run_bytes(cfg, root):
 # transposed gradient can reshape to an F-ordered view, so the bias and
 # weight sums of a conv see its memory layout most directly
 @pytest.mark.parametrize("config,changes", [
+    ("fedavg", {}),
     ("fedfa_dirichlet", {}),
     ("fedfa", {}),
     ("fedfa", {"batch_size": 47}),
     ("fedfa", {"algorithm": "fedfa-c"}),
     ("fedfa", {"algorithm": "fedfa-r"}),
-], ids=["fedfa_dirichlet", "fedfa", "fedfa_batch47", "fedfa-c", "fedfa-r"])
+], ids=["fedavg", "fedfa_dirichlet", "fedfa", "fedfa_batch47", "fedfa-c", "fedfa-r"])
 def test_runs_byte_identical_to_reference_kernels(config, changes, tmp_path,
                                                   monkeypatch):
     cfg = dataclasses.replace(

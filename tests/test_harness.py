@@ -24,7 +24,8 @@ TINY_DS = dict(classes=3, image_size=4, channels=2, noise=0.5,
 
 
 def tiny_cfg(**kw):
-    ds = DatasetConfig(**TINY_DS)
+    # TINY_DS keys set the dataset, the rest the experiment
+    ds = DatasetConfig(**{**TINY_DS, **{k: kw.pop(k) for k in TINY_DS if k in kw}})
     base = dict(algorithm="fedfa", rounds=2, lr=0.05, batch_size=8,
                 clients=2, seed=0, dataset=ds)
     base.update(kw)
@@ -73,7 +74,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("random_std", -0.1), ("prox_mu", -0.01), ("server_momentum", -0.1),
-    ("server_momentum", 1.0), ("mixup_beta", 0.0)])
+    ("server_momentum", 1.0), ("mixup_beta", 0.0), ("channels", 0)])
 def test_config_rejects_bad_knob(tmp_path, field, value):
     # rejected whatever the algorithm, and before the run directory exists
     cfg = tiny_cfg(algorithm="fedavg", **{field: value})

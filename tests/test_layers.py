@@ -6,14 +6,15 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fedfa.layers import (ConvNet, NetSpec, StageSpec, _col2im, _col2im_index,
-                          channel_mean_std, conv2d, default_net_spec,
-                          global_avg_pool, infer_logits, init_params, linear,
-                          maxpool2x2, softmax_cross_entropy)
+                          _pool_forward, channel_mean_std, conv2d,
+                          default_net_spec, global_avg_pool, infer_logits,
+                          init_params, linear, maxpool2x2, relu_maxpool2x2,
+                          softmax_cross_entropy)
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
 
 from gradcheck import check_grads
-from reference_kernels import col2im_slices
+from reference_kernels import col2im_slices, pool_forward
 from reference_kernels import install as install_reference_kernels
 
 
@@ -241,6 +242,76 @@ def test_maxpool_output_is_c_contiguous():
     assert maxpool2x2(Tensor(x)).data.flags.c_contiguous
 
 
+def pool_tie_heavy(rng, batch):
+    """[B,8,8,8] of few distinct values, half of them signed zeros, so most
+    windows tie. Channel 0 of sample 0 starts with a +0.0/-0.0 tie as the
+    max of each pair of taps, both ways round, then two all-equal windows,
+    one of them all signed zeros."""
+    x = rng.choice([-1.0, -0.0, 0.0, 0.0, -0.0, 2.0], size=(batch, 8, 8, 8))
+    windows = []
+    for p in range(4):
+        for q in range(4):
+            if p != q:
+                win = np.full(4, -1.0)
+                win[p], win[q] = 0.0, -0.0
+                windows.append(win)
+    windows += [np.full(4, 2.0), np.array([-0.0, 0.0, 0.0, -0.0])]
+    for k, win in enumerate(windows):
+        i, j = divmod(k, 4)
+        x[0, 0, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = win.reshape(2, 2)
+    return x
+
+
+def layouts(x):
+    """x as C-contiguous NCHW and as an NCHW view of NHWC memory, the
+    layout conv2d outputs have."""
+    return x, x.transpose(0, 2, 3, 1).copy().transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("batch", [1, 17, 512])
+def test_pool_forward_bit_identical_to_nchw_fold(batch):
+    x = pool_tie_heavy(np.random.default_rng(batch), batch)
+    want = pool_forward(x)
+    for view in layouts(x):
+        got = _pool_forward(view)
+        assert_bits_equal(got, want)
+        assert got.flags.c_contiguous
+    assert np.signbit(want).any() and (want == 0.0).sum() > np.signbit(want).sum()
+
+
+@pytest.mark.parametrize("batch", [1, 17, 512])
+def test_relu_after_pool_bit_identical_to_relu_before(batch):
+    z = pool_tie_heavy(np.random.default_rng(100 + batch), batch)
+    want = pool_forward(np.maximum(z, 0.0))
+    for view in layouts(z):
+        assert_bits_equal(np.maximum(_pool_forward(view), 0.0), want)
+        out = relu_maxpool2x2(Tensor(view)).data
+        assert_bits_equal(out, want)
+        assert out.flags.c_contiguous
+
+
+@pytest.mark.parametrize("spec", [
+    default_net_spec(),
+    NetSpec(stages=(StageSpec(3, 4, relu=False), StageSpec(4, 6, relu=False)),
+            image_size=8, classes=5),
+], ids=["default", "pool_only"])
+def test_infer_logits_bit_identical_to_reference_kernels(spec, monkeypatch):
+    rng = np.random.default_rng(41)
+    params = {k: p.data for k, p in init_params(spec, stream(41, "init")).items()}
+    for k in params:
+        if k.endswith("bias"):
+            params[k] = signed_zero_heavy(rng, params[k].shape)
+    x = signed_zero_heavy(rng, (33, 3, 8, 8))
+    got = infer_logits(spec, params, x)
+    with monkeypatch.context() as m:
+        install_reference_kernels(m)
+        want = infer_logits(spec, params, x)
+        graph, _ = ConvNet(spec, {k: Tensor(a) for k, a in params.items()}
+                           ).forward(Tensor(x))
+    assert_bits_equal(got, want)
+    assert_bits_equal(got, graph.data)
+
+
 def test_conv_pool_graph_is_freed_without_the_cycle_collector():
     # a backward closure that held its own output Tensor would make a cycle,
     # keeping every training step's graph (im2col matrices included) alive
@@ -264,13 +335,7 @@ def _mean_std_graph(x):
     return sigma  # the sqrt node
 
 
-def _exp_graph(x):
-    e = x.exp()
-    e.sum().backward()
-    return e
-
-
-@pytest.mark.parametrize("build", [_mean_std_graph, _exp_graph])
+@pytest.mark.parametrize("build", [_mean_std_graph])
 def test_sqrt_and_exp_graphs_are_freed_without_the_cycle_collector(build):
     rng = np.random.default_rng(39)
     gc.collect()

@@ -85,14 +85,12 @@ def test_binary_op_grads(op):
     check_grads(fns[op], [a, b])
 
 
-@pytest.mark.parametrize("op", ["sqrt", "exp", "log", "relu", "pow"])
+@pytest.mark.parametrize("op", ["sqrt", "relu", "pow"])
 def test_unary_op_grads(op):
     rng = np.random.default_rng(hash(op) % 2 ** 31)
     a = rng.uniform(0.5, 2.0, size=(2, 3))
     fns = {
         "sqrt": lambda x: x.sqrt().sum(),
-        "exp": lambda x: x.exp().sum(),
-        "log": lambda x: x.log().sum(),
         "relu": lambda x: x.relu().sum(),
         "pow": lambda x: (x ** 3).sum(),
     }
@@ -134,13 +132,6 @@ def test_reshape_grads():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((2, 6))
     check_grads(lambda x: (x.reshape(3, 4) ** 2).sum(), [a])
-
-
-def test_detach_blocks_gradient():
-    x = Tensor([1.0, 2.0])
-    y = x.detach() * 3.0
-    y.sum().backward()
-    assert x.grad is None
 
 
 def test_zero_grad_resets():
@@ -185,7 +176,7 @@ def test_check_finite_mode():
     try:
         x = Tensor([1.0, 0.0])
         with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
-            _ = x.log()  # log(0) = -inf
+            _ = 1.0 / x  # 1/0 = inf
     finally:
         set_check_finite(False)
 
