@@ -8,21 +8,25 @@ Budgets come from the batch itself ("client" variant), a fixed width
 ("random"), or the batch variances rescaled by cross-client modulation
 coefficients ("full").
 
-The renormalization is one autodiff node (``ffa_transform``). Its
-backward is the closed form of the graph the formula would build, as in
-instance norm: the same numpy operations in the same order, so runs are
-bit for bit those of the graph.
+The renormalization is a kernel pair, ``ffa_forward`` and
+``ffa_backward``. The backward is the closed form of the graph the formula
+would build, as in instance norm: the same numpy operations in the same
+order, so its gradients are bit for bit those of the graph. ``augment``
+on an array, the training chain's hook, returns the output and the
+backward; on a Tensor, as ``theory``, the gradient checks and the tests
+use it, it returns one ``ffa_transform`` node.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .layers import channel_mean_std
 from .stats import EPS_VAR, BatchStatVariance, ChannelStats
-from .tensor import Tensor, _unbroadcast
+from .tensor import Tensor, kernel_node
 
 VARIANTS = ("full", "client", "random")
 
@@ -121,61 +125,73 @@ def _shifts(fused: FusedVariance, eps_mu, eps_sigma):
     return shift(eps_mu, fused.var_mu_hat), shift(eps_sigma, fused.var_sigma_hat)
 
 
-def _first(g: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A node's first gradient as ``Tensor._accumulate`` stores it: g + 0.0
-    in like's memory layout."""
-    return np.add(g, 0.0, out=np.empty_like(like))
-
-
-def ffa_transform(x: Tensor, fused, eps_mu: np.ndarray,
-                  eps_sigma: np.ndarray, eps_var: float = EPS_VAR) -> Tensor:
-    """Deterministic core of the augmentation, Tensor in, one Tensor node out.
+def ffa_forward(x: np.ndarray, fused, eps_mu: np.ndarray,
+                eps_sigma: np.ndarray, eps_var: float = EPS_VAR):
+    """Forward kernel of the augmentation's deterministic core.
 
     Renormalizes x from its statistics (mu, sigma) onto the shifted ones:
     (sigma + d_sigma) * (x - mu) / sigma + (mu + d_mu). fused is the
     variance budget, or a function that builds it from the map's
-    ``ChannelStats``. eps_mu/eps_sigma broadcast against [B,C]; gradients
-    flow through the feature map and its statistics, not through the
-    variance budgets.
+    ``ChannelStats``. eps_mu/eps_sigma broadcast against [B,C]. Returns the
+    output, in x's memory layout, and the context of ``ffa_backward``.
     """
-    xd = x.data
-    mu, sigma = channel_mean_std(xd, eps_var=eps_var)
+    mu, sigma = channel_mean_std(x, eps_var=eps_var)
     if callable(fused):
         fused = fused(ChannelStats.of(mu, sigma))
     d_mu, d_sigma = _shifts(fused, eps_mu, eps_sigma)
     mu_hat = mu + d_mu
     sigma_hat = sigma + d_sigma
-    xc = xd - mu
+    xc = x - mu
     q = xc / sigma
-    out_data = sigma_hat * q + mu_hat
-    out = Tensor(out_data, (x,))
-    inv_n = 1.0 / float(x.shape[2] * x.shape[3])
+    out = sigma_hat * q + mu_hat
+    return out, (out, mu, sigma, sigma_hat, xc, q)
 
-    def back(g):
-        # The closures of the graph out = p + mu_hat, p = sigma_hat * q,
-        # q = xc / sigma, xc = x - mu, sigma = sqrt(var + eps_var),
-        # var = mean((x - mu)**2), mu = mean(x), in its topological order.
-        # The graph's two x - mu nodes hold equal arrays; xc stands for both.
-        # A node's first gradient adds +0.0 (a second +0.0 would change no
-        # bit), and x takes its three terms in the graph's order.
-        g_p = _first(g, out_data)
-        g_mu_hat = _first(_unbroadcast(g, mu_hat.shape), mu_hat)
-        g_sigma = _first(_unbroadcast(g_p * q, sigma_hat.shape), sigma)
-        g_q = _first(g_p * sigma_hat, q)
-        g_xc = _first(g_q / sigma, xc)
-        g_sigma += _unbroadcast(-g_q * xc / sigma**2, sigma.shape)
-        x._accumulate(g_xc)
-        g_mu = _first(_unbroadcast(-g_xc, mu.shape), mu)
-        g_var = _first(g_sigma * 0.5 / sigma, sigma)
-        g_sq = _first(np.broadcast_to(_first(g_var * inv_n, sigma), xc.shape), xc)
-        g_d = _first(g_sq * 2 * xc, xc)
-        x._accumulate(g_d)
-        g_mu += _unbroadcast(-g_d, mu.shape)
-        g_mu += g_mu_hat
-        x._accumulate(np.broadcast_to(_first(g_mu * inv_n, mu), x.shape))
 
-    out._backward = back
-    return out
+def ffa_backward(g: np.ndarray, ctx) -> np.ndarray:
+    """The gradient of x, in x's memory layout, through the feature map and
+    its statistics but not through the variance budgets.
+
+    The closures of the graph out = p + mu_hat, p = sigma_hat * q,
+    q = xc / sigma, xc = x - mu, sigma = sqrt(var + eps_var),
+    var = mean((x - mu)**2), mu = mean(x), in its topological order, with
+    the same numpy operations. The graph's two x - mu nodes hold equal
+    arrays; xc stands for both, and x takes its three terms in the graph's
+    order. The graph copies each node's first gradient into the layout of
+    the node's data, adding +0.0; here only p's copy stays, because g's
+    layout may differ from out's and the sums over g_p * q follow it. The
+    other copies keep their operands' layout, and their + 0.0 would only
+    clear the sign of zeros, which no sum or later product turns into a
+    different value. The sum over g itself runs in g's layout, as the
+    graph's sum over the gradient of out does.
+    """
+    out, mu, sigma, sigma_hat, xc, q = ctx
+    inv_n = 1.0 / float(xc.shape[2] * xc.shape[3])
+
+    def per_map(a):  # the graph's unbroadcast from [B,C,H,W] to [B,C,1,1]
+        return a.sum(axis=(2, 3), keepdims=True)
+
+    g_p = g
+    if g.strides != out.strides:
+        g_p = np.add(g, 0.0, out=np.empty_like(out))
+    g_mu_hat = per_map(g)
+    g_sigma = per_map(g_p * q)
+    g_q = g_p * sigma_hat
+    gx = g_q / sigma
+    g_sigma += per_map(-g_q * xc / sigma**2)
+    g_mu = per_map(-gx)
+    g_d = g_sigma * 0.5 / sigma * inv_n * 2 * xc
+    g_mu += per_map(-g_d)
+    g_mu += g_mu_hat
+    gx += g_d
+    gx += g_mu * inv_n
+    return gx
+
+
+def ffa_transform(x: Tensor, fused, eps_mu: np.ndarray,
+                  eps_sigma: np.ndarray, eps_var: float = EPS_VAR) -> Tensor:
+    """The kernel pair ``ffa_forward``/``ffa_backward`` as one Tensor node."""
+    out, ctx = ffa_forward(x.data, fused, eps_mu, eps_sigma, eps_var)
+    return kernel_node(out, (x,), lambda g: (ffa_backward(g, ctx),))
 
 
 def draw_eps(rng: np.random.Generator, batch: int,
@@ -185,26 +201,33 @@ def draw_eps(rng: np.random.Generator, batch: int,
             rng.standard_normal((batch, channels)))
 
 
-def augment(x: Tensor, fused, cfg: FfaConfig, rng: np.random.Generator,
+def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator,
             training: bool = True, eps=None):
     """Apply the gated statistic perturbation to a feature map.
 
     fused is the variance budget, or a function that builds it from the
     map's ``ChannelStats``. The gate is drawn first: only a fired gate
-    computes the statistics, once, and calls that function with them;
-    x_hat is then one ``ffa_transform`` node.
+    computes the statistics, once, and calls that function with them.
+    Passing eps forces the gate open with those draws; the rng is not
+    consumed.
 
-    Returns (x_hat, used_eps). used_eps is None when the gate stayed
-    closed (eval mode, p == 0, or an unlucky draw). Passing eps forces
-    the gate open with those draws; the rng is not consumed.
+    For a Tensor x, returns (x_hat, used_eps): x_hat is one
+    ``ffa_transform`` node and used_eps the (eps_mu, eps_sigma) drawn. For
+    an array x, the training chain's hook, returns (x_hat, back): back maps
+    the gradient of x_hat to that of x. used_eps and back are None when
+    the gate stayed closed (eval mode, p == 0, or an unlucky draw), and
+    x_hat is then x itself.
     """
     if eps is None:
         if not training or cfg.p == 0.0 or rng.random() >= cfg.p:
             return x, None
         eps = draw_eps(rng, x.shape[0], x.shape[1])
     eps_mu, eps_sigma = eps
-    x_hat = ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var)
-    return x_hat, (eps_mu, eps_sigma)
+    if isinstance(x, Tensor):
+        return (ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var),
+                (eps_mu, eps_sigma))
+    out, ctx = ffa_forward(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var)
+    return out, functools.partial(ffa_backward, ctx=ctx)
 
 
 def noise_view(x: np.ndarray, fused: FusedVariance, used_eps,

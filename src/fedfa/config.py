@@ -51,10 +51,21 @@ class DatasetConfig:
             raise ValueError("need at least 2 classes")
         if self.channels < 1:
             raise ValueError("channels must be positive")
-        if self.image_size % 4 != 0:
-            raise ValueError("image_size must be divisible by 4 (two pool layers)")
+        if self.image_size < 4 or self.image_size % 4 != 0:
+            raise ValueError("image_size must be positive and divisible by 4 "
+                             "(two pool layers)")
         if self.train_per_client < 1 or self.test_per_client < 1:
             raise ValueError("per-client sample counts must be positive")
+        if self.noise < 0:
+            raise ValueError("noise must be nonnegative")
+        if self.shift_strength < 0:
+            raise ValueError("shift_strength must be nonnegative")
+        if self.concentration <= 0:
+            raise ValueError("concentration must be positive")
+        if self.size_ratio < 1:
+            raise ValueError("size_ratio must be at least 1")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ValueError("test_fraction must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -111,6 +122,9 @@ class ExperimentConfig:
         if self.mixup_beta <= 0:
             raise ValueError("mixup_beta must be positive")
         self.dataset.validate()
+        if self.dataset.kind == "feature_shift" and self.clients < 2:
+            raise ValueError("clients must be at least 2 for a feature_shift "
+                             "dataset")
 
     @property
     def method(self) -> Algorithm:

@@ -14,12 +14,15 @@ from .augment import FfaConfig, augment, variant_variances
 from .config import DatasetConfig, ExperimentConfig
 from .federation import (ClientState, LocalResult, RoundReport, ServerState,
                          run_round)
-from .layers import (ConvNet, default_net_spec, infer_logits, init_params,
-                     softmax_cross_entropy)
+from .layers import (default_net_spec, infer_logits, init_params,
+                     net_backward, net_forward, softmax_cross_entropy_backward,
+                     softmax_cross_entropy_forward)
+# training builds no ConvNet, but perfbench's tracer self-test reaches the
+# class through this module
+from .layers import ConvNet  # noqa: F401
 from .optim import Sgd
 from .rng import stream
 from .stats import MomentumStats, batch_variances, momentum_update
-from .tensor import Tensor
 
 
 def resolve_run_root(run_root=None) -> str:
@@ -60,9 +63,35 @@ def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,
     return x_mixed, y, y[perm], lam
 
 
+def batch_grads(net_spec, params: dict[str, np.ndarray], x: np.ndarray,
+                targets, hooks=None) -> tuple[float, dict[str, np.ndarray]]:
+    """Loss and parameter gradients of one batch, graph-free.
+
+    targets is a sequence of (labels, weight): the loss is the weighted sum
+    of the cross entropies of the logits against each label vector, one
+    term for a plain batch (weight 1.0) and two for a mixup batch. The
+    gradients are the chain of kernel pairs over ``net_forward``'s tape,
+    bit for bit those of ``ConvNet.forward`` and ``Tensor.backward`` on
+    the same loss.
+    """
+    tape: list = []
+    logits = net_forward(net_spec, params, x, hooks, tape)
+    loss = g = None
+    for labels, weight in targets:
+        value, ctx = softmax_cross_entropy_forward(logits, labels)
+        term = softmax_cross_entropy_backward(weight, ctx)
+        if g is None:
+            loss, g = value * weight, term
+        else:
+            loss = loss + value * weight
+            g += term
+    return float(loss), net_backward(tape, g)
+
+
 def make_train_fn(cfg: ExperimentConfig, net_spec):
     """Build the per-client local training function for one experiment.
 
+    Every batch runs through ``batch_grads``; no autodiff graph is built.
     The FedFA variants give each client fresh momentum statistics per
     round, updated whenever a gate fires and returned for upload.
     """
@@ -73,10 +102,8 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
 
     def train_fn(client: ClientState, round_index: int,
                  params: dict[str, np.ndarray], coeffs) -> LocalResult:
-        # params is the broadcast model: read, never written
-        tparams = {k: Tensor(v.copy()) for k, v in params.items()}
-        net = ConvNet(net_spec, tparams)
-        opt = Sgd(tparams, lr=cfg.lr,
+        # params is the broadcast model: read, never written (Sgd rebinds)
+        opt = Sgd(dict(params), lr=cfg.lr,
                   prox_mu=cfg.prox_mu if method.prox else 0.0,
                   anchor=params if method.prox else None)
         momentum = [MomentumStats.fresh(c, cfg.alpha) for c in channels]
@@ -93,7 +120,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
                 momentum[k] = momentum_update(momentum[k], st)
                 return variant_variances(ffa_cfg, batch_variances(st), gamma)
 
-            return lambda t: augment(t, budget, ffa_cfg, rng)[0]
+            return lambda x: augment(x, budget, ffa_cfg, rng)
 
         hooks = [make_hook(k) for k in range(len(channels))] if ffa_cfg else None
         x_all, y_all = client.data.x_train, client.data.y_train
@@ -105,20 +132,15 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 xb, yb = x_all[idx], y_all[idx]
-                net.zero_grad()
+                targets = ((yb, 1.0),)
                 if method.mixup:
                     xb, ya, yb2, lam = mixup_batch(xb, yb, cfg.mixup_beta, mix_rng)
-                    logits, _ = net.forward(Tensor(xb))
-                    loss = (softmax_cross_entropy(logits, ya) * lam
-                            + softmax_cross_entropy(logits, yb2) * (1.0 - lam))
-                else:
-                    logits, _ = net.forward(Tensor(xb), hooks=hooks)
-                    loss = softmax_cross_entropy(logits, yb)
-                loss.backward()
-                opt.step()
-                losses.append(float(loss.data))
+                    targets = ((ya, lam), (yb2, 1.0 - lam))
+                loss, grads = batch_grads(net_spec, opt.params, xb, targets, hooks)
+                opt.step(grads)
+                losses.append(loss)
         return LocalResult(
-            params={k: t.data for k, t in tparams.items()},
+            params=opt.params,
             momentum=momentum,
             train_loss=float(np.mean(losses)) if losses else float("nan"),
             n_samples=n,

@@ -5,30 +5,45 @@ The feature extractor is a sequence of conv stages (conv, relu, optional
 where stochastic feature augmentation plugs in. The classifier head is a
 single linear layer on the flattened final feature map.
 
-Convolution and pooling are plain-numpy kernels (``_conv_forward``,
-``_pool_forward``) shared by two callers: the autodiff ops ``conv2d``,
-``relu_maxpool2x2`` and ``maxpool2x2``, which add backward closures, and
-the graph-free inference path ``infer_logits``/``ConvNet.predict``, which
-builds no Tensors. Both run the same arithmetic, so predictions equal the
-argmax of the training forward bit for bit.
+Every training op is a kernel pair on plain arrays: a forward kernel that
+returns its output and a backward context, and a backward kernel that
+maps the output's gradient and that context to the input and parameter
+gradients (``conv2d_*``, ``relu_maxpool2x2_*``, ``maxpool2x2_*``,
+``relu_*``, ``linear_*``, ``softmax_cross_entropy_*``; the augmentation's
+``ffa_forward``/``ffa_backward`` live in ``augment``). They have two
+callers:
 
-Both kernels work in the memory order the conv matmul writes, NHWC. The
-conv adds its bias in place along whole per-sample rows, the same
-elementwise add as a broadcast. The pool folds its four taps over the NHWC
-view, in reverse tap order so the first maximum wins a tie, and relu runs
-after the pool on the quarter-size array. That order is bit-identical to
-relu first: np.maximum returns its second operand on ties, so a window
-whose max is <= 0 gives +0.0 either way, and a positive max is unchanged.
+- ``net_forward`` and ``net_backward``, the one array forward and the
+  graph-free training chain. ``experiment.make_train_fn`` trains every
+  batch through them with a tape of backward contexts; evaluation
+  (``infer_logits``, ``ConvNet.predict``) runs ``net_forward`` without a
+  tape, so it keeps nothing. No Tensor is built.
+- The autodiff ops ``conv2d``, ``relu_maxpool2x2``, ``maxpool2x2``,
+  ``linear`` and ``softmax_cross_entropy``, one Tensor node per pair, and
+  ``ConvNet.forward`` on top of them. The graph serves ``theory``, the
+  gradient checks and the tests' reference for the chain.
 
-In training, ``ConvNet.forward`` hands the first conv the raw input array:
-``conv2d`` treats an ndarray as a constant, so no input gradient is
-computed. For Tensor inputs the conv backward scatters patch gradients
-back with ``_col2im``, one ``np.bincount`` over a cached tap-major index,
-which sums each pixel's taps in the same order as a zero-filled buffer
-with one strided ``+=`` per tap, bit for bit. A stage with both relu and
-pool is one ``relu_maxpool2x2`` node, whose backward gives the gradient of
-``maxpool2x2(z.relu())`` bit for bit without the relu node, the
-zero-filled pool gradient or the relu mask.
+Both callers run the same kernels, so the chain's loss and gradients are
+the graph's bit for bit (``net_backward`` says why the graph's gradient
+copies can be dropped), and predictions equal the argmax of the training
+forward.
+
+The conv and pool forward kernels work in the memory order the conv
+matmul writes, NHWC. The conv adds its bias in place along whole
+per-sample rows, the same elementwise add as a broadcast. The pool folds
+its four taps over the NHWC view, in reverse tap order so the first
+maximum wins a tie, and relu runs after the pool on the quarter-size
+array. That order is bit-identical to relu first: np.maximum returns its
+second operand on ties, so a window whose max is <= 0 gives +0.0 either
+way, and a positive max is unchanged.
+
+The first conv's input is the data, a constant: its backward computes no
+input gradient. Later convs scatter patch gradients back with
+``_col2im``, a zero-filled NHWC buffer and one strided ``+=`` per tap in
+(kh, kw) order. A stage with both relu and pool is one
+``relu_maxpool2x2`` op, whose backward gives the gradient of
+``maxpool2x2(relu(z))`` bit for bit without the relu mask or the
+zero-filled pool gradient.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, kernel_node
 
 
 # ---- kernels on raw arrays --------------------------------------------------
@@ -78,35 +93,49 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
 
 
 @functools.cache
-def _col2im_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  padding: int) -> tuple[np.ndarray, int, int]:
-    """``_im2col_index`` reordered tap-major (kh, kw, Ho, Wo, C): the
-    order in which ``_col2im`` adds each pixel's taps. Independent of the
-    batch size; read-only, because the cache shares it."""
-    idx, ho, wo = _im2col_index(c, h, w, kh, kw, stride, padding)
-    taps = idx.reshape(ho, wo, c, kh, kw).transpose(3, 4, 0, 1, 2).ravel()
-    taps.flags.writeable = False
-    return taps, ho, wo
+def _col2im_taps(h: int, w: int, kh: int, kw: int, stride: int,
+                 padding: int) -> tuple[tuple, int, int]:
+    """Per kernel tap (i, j), in (kh, kw) order: the input rows and columns
+    it reaches and the output rows and columns that reach them, as slices.
+    Taps that fall only in the padding are left out."""
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+
+    def reach(k, n, n_out):
+        # output o reads input o * stride + k - padding, kept if in [0, n)
+        lo = max(0, -(-(padding - k) // stride))
+        hi = min(n_out, (n - 1 + padding - k) // stride + 1)
+        if hi <= lo:
+            return None
+        first = lo * stride + k - padding
+        last = first + (hi - lo - 1) * stride
+        return slice(first, last + 1, stride), slice(lo, hi)
+
+    taps = []
+    for i in range(kh):
+        for j in range(kw):
+            rows, cols = reach(i, h, ho), reach(j, w, wo)
+            if rows is not None and cols is not None:
+                taps.append((i, j, rows[0], cols[0], rows[1], cols[1]))
+    return tuple(taps), ho, wo
 
 
 def _col2im(gcols: np.ndarray, shape: tuple[int, int, int, int], kh: int,
             kw: int, stride: int, padding: int) -> np.ndarray:
     """Adjoint of ``_im2col``: sums [B*Ho*Wo, C*kh*kw] patch gradients
-    back into an unpadded [B,C,H,W] array with one ``np.bincount``.
+    back into a [B,C,H,W] gradient, NHWC in memory.
 
-    bincount adds its weights in order of occurrence, starting from +0.0.
-    With the tap-major index, each pixel sums its taps in (kh, kw) order,
-    exactly as a zero-filled buffer with one ``+=`` per tap would, signed
-    zeros included."""
+    A zero-filled buffer takes one strided ``+=`` per tap in (kh, kw)
+    order, so each pixel sums its taps in that order starting from +0.0:
+    no -0.0 survives, whatever the signs of the zeros in gcols. The NHWC
+    buffer keeps the channels of a tap contiguous on both sides."""
     b, c, h, w = shape
-    idx, ho, wo = _col2im_index(c, h, w, kh, kw, stride, padding)
-    # sample s scatters into its own row of C*H*W bins plus a trailing bin
-    # for the padding taps, which is dropped
-    row = c * h * w + 1
-    bins = np.add.outer(np.arange(0, b * row, row), idx).ravel()
-    taps = gcols.reshape(b, ho, wo, c, kh, kw).transpose(0, 4, 5, 1, 2, 3)
-    acc = np.bincount(bins, taps.ravel(), minlength=b * row)
-    return acc.reshape(b, row)[:, :-1].reshape(shape)
+    taps, ho, wo = _col2im_taps(h, w, kh, kw, stride, padding)
+    g6 = gcols.reshape(b, ho, wo, c, kh, kw)
+    gx = np.zeros((b, h, w, c))
+    for i, j, rows, cols, out_rows, out_cols in taps:
+        gx[:, rows, cols] += g6[:, out_rows, out_cols, :, i, j]
+    return gx.transpose(0, 3, 1, 2)
 
 
 def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
@@ -156,6 +185,129 @@ def _pool_forward(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
+# ---- kernel pairs -----------------------------------------------------------
+
+
+def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                   stride: int, padding: int):
+    out, cols = _conv_forward(x, weight, bias, stride, padding)
+    return out, (cols, weight, x.shape, stride, padding)
+
+
+def conv2d_backward(g: np.ndarray, ctx, input_grad: bool = True):
+    """(gx, gweight, gbias); gx is None without input_grad, and otherwise
+    NHWC in memory (``_col2im``)."""
+    cols, weight, shape, stride, padding = ctx
+    cout, _, kh, kw = weight.shape
+    # C order whatever g's layout: the reshape is an F-ordered view for an
+    # NCHW-contiguous g at B=1, and the order sets the low bits of the sums
+    gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(-1, cout))
+    gw = (gm.T @ cols).reshape(weight.shape)
+    gx = None
+    if input_grad:
+        gx = _col2im(gm @ weight.reshape(cout, -1), shape, kh, kw, stride, padding)
+    return gx, gw, gm.sum(axis=0)
+
+
+def maxpool2x2_forward(x: np.ndarray):
+    pooled = _pool_forward(x)
+    return pooled, (x, pooled)
+
+
+def maxpool2x2_backward(g: np.ndarray, ctx) -> np.ndarray:
+    """Each window's gradient goes to its first maximum, as argmax's would."""
+    x, pooled = ctx
+    gx = np.zeros(x.shape)
+    free = np.ones(pooled.shape, dtype=bool)
+    for i, j in _POOL_TAPS[:-1]:
+        hit = free & (x[:, :, i::2, j::2] == pooled)
+        np.copyto(gx[:, :, i::2, j::2], g, where=hit)
+        free &= ~hit
+    i, j = _POOL_TAPS[-1]
+    np.copyto(gx[:, :, i::2, j::2], g, where=free)
+    return gx
+
+
+def relu_maxpool2x2_forward(z: np.ndarray):
+    """``maxpool2x2(relu(z))``, pooling first: np.maximum returns its second
+    operand on ties, so a window whose max is <= 0 (signed zeros included)
+    gives +0.0 in either order, and a positive max is the same value."""
+    pooled = _pool_forward(z)
+    np.maximum(pooled, 0.0, out=pooled)
+    return pooled, (z, pooled)
+
+
+def relu_maxpool2x2_backward(g: np.ndarray, ctx) -> np.ndarray:
+    """The gradient of ``maxpool2x2(relu(z))`` without the relu mask.
+
+    relu zeroes every window whose max is <= 0, so only windows with a
+    positive max pass gradient, to their first maximum; those windows are
+    where the graph's relu mask is one. z, viewed in the conv output's NHWC
+    memory as [B,H/2,2,W/2,2,C], is compared with the pooled max once. Ties
+    are rare among positive values: only when the hits outnumber the
+    positive windows are the taps masked in argmax order. The result is
+    NHWC in memory, where the conv backward reads it.
+    """
+    z, pooled = ctx
+    b, c, h, w = z.shape
+    win = (b, h // 2, 1, w // 2, 1, c)
+    top = pooled.transpose(0, 2, 3, 1).reshape(win)
+    live = top > 0
+    # NaN equals nothing, so windows without a positive max get no hit
+    top = np.where(live, top, np.nan)
+    hit = z.transpose(0, 2, 3, 1).reshape(b, h // 2, 2, w // 2, 2, c) == top
+    if np.count_nonzero(hit) != np.count_nonzero(live):
+        # a positive max held by two taps: keep the first, as argmax does
+        free = np.ones((b, h // 2, w // 2, c), dtype=bool)
+        for i, j in _POOL_TAPS:
+            tap = hit[:, :, i, :, j, :]
+            tap &= free
+            free &= ~tap
+    gz = np.where(hit, g.transpose(0, 2, 3, 1).reshape(win), 0.0)
+    return gz.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+
+
+def relu_forward(z: np.ndarray):
+    return np.maximum(z, 0.0), z
+
+
+def relu_backward(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return g * (z > 0)
+
+
+def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """x: [B,D]; weight: [D,K]; bias: [K]."""
+    if x.shape[1] != weight.shape[0]:
+        raise ValueError(
+            f"linear: input dim {x.shape[1]} != weight rows {weight.shape[0]}"
+        )
+    return x @ weight + bias, (x, weight)
+
+
+def linear_backward(g: np.ndarray, ctx):
+    """(gx, gweight, gbias)."""
+    x, weight = ctx
+    return g @ weight.T, x.T @ g, g.sum(axis=0)
+
+
+def softmax_cross_entropy_forward(z: np.ndarray, labels: np.ndarray):
+    """Mean cross entropy over the batch. labels: int array [B]."""
+    b = z.shape[0]
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    total = e.sum(axis=1)
+    lse = m[:, 0] + np.log(total)
+    return (lse - z[np.arange(b), labels]).mean(), (e, total, labels)
+
+
+def softmax_cross_entropy_backward(g, ctx) -> np.ndarray:
+    e, total, labels = ctx
+    b = e.shape[0]
+    p = e / total[:, np.newaxis]
+    p[np.arange(b), labels] -= 1.0
+    return g * p / b
+
+
 # ---- autodiff ops -----------------------------------------------------------
 
 
@@ -167,88 +319,21 @@ def conv2d(x: Tensor | np.ndarray, weight: Tensor, bias: Tensor,
     pass skips the col2im."""
     xt = x if isinstance(x, Tensor) else None
     xd = x.data if xt is not None else np.asarray(x, dtype=np.float64)
-    cout, _, kh, kw = weight.shape
-    out_data, cols = _conv_forward(xd, weight.data, bias.data, stride, padding)
-    out = Tensor(out_data, (weight, bias) if xt is None else (xt, weight, bias))
-
-    def back(g):
-        # C order whatever g's layout: the reshape is an F-ordered view for an
-        # NCHW-contiguous g at B=1, and the order sets the low bits of the sums
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1).reshape(-1, cout))
-        weight._accumulate((gm.T @ cols).reshape(weight.shape))
-        bias._accumulate(gm.sum(axis=0))
-        if xt is not None:
-            gcols = gm @ weight.data.reshape(cout, -1)
-            xt._accumulate(_col2im(gcols, xd.shape, kh, kw, stride, padding))
-
-    out._backward = back
-    return out
+    out, ctx = conv2d_forward(xd, weight.data, bias.data, stride, padding)
+    return kernel_node(out, (xt, weight, bias),
+                       lambda g: conv2d_backward(g, ctx, xt is not None))
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2. Requires even spatial dims."""
-    pooled = _pool_forward(x.data)
-    out = Tensor(pooled, (x,))
-
-    def back(g):
-        # route each window's gradient to its first maximum, as argmax would;
-        # the closure holds the array, not out, so it makes no reference cycle
-        gx = np.zeros(x.shape)
-        free = np.ones(pooled.shape, dtype=bool)
-        for i, j in _POOL_TAPS[:-1]:
-            hit = free & (x.data[:, :, i::2, j::2] == pooled)
-            np.copyto(gx[:, :, i::2, j::2], g, where=hit)
-            free &= ~hit
-        i, j = _POOL_TAPS[-1]
-        np.copyto(gx[:, :, i::2, j::2], g, where=free)
-        x._accumulate(gx)
-
-    out._backward = back
-    return out
+    out, ctx = maxpool2x2_forward(x.data)
+    return kernel_node(out, (x,), lambda g: (maxpool2x2_backward(g, ctx),))
 
 
 def relu_maxpool2x2(z: Tensor) -> Tensor:
-    """``maxpool2x2(z.relu())`` as one node, values and gradients bit for bit.
-
-    The forward pools first and applies relu to the quarter-size result:
-    np.maximum returns its second operand on ties, so a window whose max is
-    <= 0 (signed zeros included) gives +0.0 in either order, and a positive
-    max is the same value either way.
-
-    relu zeroes every window whose max is <= 0, so only windows with a
-    positive max pass gradient, to their first maximum; those windows are
-    where the graph's relu mask is one. The backward compares z, viewed in
-    the conv output's NHWC memory as [B,H/2,2,W/2,2,C], with the pooled
-    max once. Ties are rare among positive values: only when the hits
-    outnumber the positive windows are the taps masked in argmax order.
-    The gradient is written straight into NHWC memory, where the conv
-    backward reads it.
-    """
-    pooled = _pool_forward(z.data)
-    np.maximum(pooled, 0.0, out=pooled)
-    out = Tensor(pooled, (z,))
-
-    def back(g):
-        b, c, h, w = z.shape
-        win = (b, h // 2, 1, w // 2, 1, c)
-        top = pooled.transpose(0, 2, 3, 1).reshape(win)
-        live = top > 0
-        # NaN equals nothing, so windows without a positive max get no hit
-        top = np.where(live, top, np.nan)
-        hit = z.data.transpose(0, 2, 3, 1).reshape(b, h // 2, 2, w // 2, 2, c) == top
-        if np.count_nonzero(hit) != np.count_nonzero(live):
-            # a positive max held by two taps: keep the first, as argmax does
-            free = np.ones((b, h // 2, w // 2, c), dtype=bool)
-            for i, j in _POOL_TAPS:
-                tap = hit[:, :, i, :, j, :]
-                tap &= free
-                free &= ~tap
-        gw = np.add(g.transpose(0, 2, 3, 1), 0.0, order="C").reshape(win)
-        gz = np.where(hit, gw, 0.0).reshape(b, h, w, c).transpose(0, 3, 1, 2)
-        z._accumulate(gz)
-
-    out._backward = back
-    return out
+    """``maxpool2x2(z.relu())`` as one node, values and gradients bit for bit."""
+    out, ctx = relu_maxpool2x2_forward(z.data)
+    return kernel_node(out, (z,), lambda g: (relu_maxpool2x2_backward(g, ctx),))
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -258,30 +343,15 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """x: [B,D]; weight: [D,K]; bias: [K]."""
-    if x.shape[1] != weight.shape[0]:
-        raise ValueError(
-            f"linear: input dim {x.shape[1]} != weight rows {weight.shape[0]}"
-        )
-    return x @ weight + bias
+    out, ctx = linear_forward(x.data, weight.data, bias.data)
+    return kernel_node(out, (x, weight, bias), lambda g: linear_backward(g, ctx))
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross entropy over the batch. labels: int array [B]."""
-    z = logits.data
-    b = z.shape[0]
-    m = z.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-    loss = (lse - z[np.arange(b), labels]).mean()
-    out = Tensor(loss, (logits,))
-
-    def back(g):
-        p = np.exp(z - m)
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(b), labels] -= 1.0
-        logits._accumulate(g * p / b)
-
-    out._backward = back
-    return out
+    loss, ctx = softmax_cross_entropy_forward(logits.data, labels)
+    return kernel_node(loss, (logits,),
+                       lambda g: (softmax_cross_entropy_backward(g, ctx),))
 
 
 def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = 1e-6):
@@ -379,22 +449,86 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, Tensor]:
     return params
 
 
-def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
-                 x: np.ndarray) -> np.ndarray:
-    """Hook-free forward pass on raw arrays: the logits ``ConvNet.forward``
-    computes, bit for bit, with no Tensors or backward closures."""
+# the kernel pair of a stage's relu and pool, by (relu, pool); neither: none
+_STAGE_OPS = {
+    (True, True): (relu_maxpool2x2_forward, relu_maxpool2x2_backward),
+    (False, True): (maxpool2x2_forward, maxpool2x2_backward),
+    (True, False): (relu_forward, relu_backward),
+}
+
+
+def net_forward(spec: NetSpec, params: dict[str, np.ndarray], x: np.ndarray,
+                hooks=None, tape: list | None = None) -> np.ndarray:
+    """The logits ``ConvNet.forward`` computes, bit for bit, on raw arrays:
+    the same forward kernels, no Tensors.
+
+    hooks are per-stage callables (entries may be None) taking the stage
+    output and returning (out, back): back is None when out is the input
+    passed through, else a function from the gradient of out to that of
+    the input. A list tape collects every op's backward context for
+    ``net_backward``; without one nothing is kept.
+    """
     out = np.asarray(x, dtype=np.float64)
     if out.ndim != 4:
         raise ValueError(f"expected input [B,C,H,W], got shape {out.shape}")
     for i, s in enumerate(spec.stages):
-        out, _ = _conv_forward(out, params[f"conv{i}.weight"],
-                               params[f"conv{i}.bias"], s.stride, s.padding)
-        if s.pool:
-            out = _pool_forward(out)
-        if s.relu:
-            out = np.maximum(out, 0.0, out=out)
-    flat = out.reshape(out.shape[0], -1)
-    return flat @ params["head.weight"] + params["head.bias"]
+        out, conv = conv2d_forward(out, params[f"conv{i}.weight"],
+                                   params[f"conv{i}.bias"], s.stride, s.padding)
+        op = _STAGE_OPS.get((s.relu, s.pool))
+        act = hook = None
+        if op is not None:
+            out, act = op[0](out)
+        if hooks is not None and i < len(hooks) and hooks[i] is not None:
+            out, back = hooks[i](out)
+            hook = (back, out) if back is not None else None
+        if tape is not None:
+            tape.append((conv, op, act, hook))
+    logits, head = linear_forward(out.reshape(out.shape[0], -1),
+                                  params["head.weight"], params["head.bias"])
+    if tape is not None:
+        tape.append((head, out.shape))
+    return logits
+
+
+def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
+    """The parameter gradients ``Tensor.backward`` leaves after
+    ``ConvNet.forward``, bit for bit, from a ``net_forward`` tape and the
+    gradient g of the logits.
+
+    The graph stores each node's gradient through ``Tensor._accumulate``, a
+    copy g + 0.0 in the memory layout of the node's data; the chain hands
+    each backward kernel the previous one's output as it is. The + 0.0 only
+    turns -0.0 into +0.0, and the sign of a zero cannot reach a parameter:
+    every parameter gradient is a numpy sum or a BLAS matmul, both of which
+    start from +0.0 (tests/test_chain.py checks the sign bits), and no
+    backward kernel divides by a gradient or branches on its sign. The layout matters only where a kernel reduces over its
+    gradient in memory order, the hook's transform; there the chain
+    restores the layout of the hook's output, which the conv backward's
+    NHWC col2im does not have.
+    """
+    *stages, (head, shape) = tape
+    g, head_w, head_b = linear_backward(g, head)
+    g = g.reshape(shape)
+    grads = {}
+    for i in range(len(stages) - 1, -1, -1):
+        conv, op, act, hook = stages[i]
+        if hook is not None:
+            back, out = hook
+            if g.strides != out.strides:
+                g = np.add(g, 0.0, out=np.empty_like(out))
+            g = back(g)
+        if op is not None:
+            g = op[1](g, act)
+        g, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = conv2d_backward(
+            g, conv, input_grad=i > 0)
+    grads["head.weight"], grads["head.bias"] = head_w, head_b
+    return grads
+
+
+def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
+                 x: np.ndarray) -> np.ndarray:
+    """Hook-free ``net_forward`` that keeps no backward contexts."""
+    return net_forward(spec, params, x)
 
 
 class ConvNet:
@@ -442,7 +576,3 @@ class ConvNet:
         """Predicted class per sample, without building an autodiff graph."""
         params = {k: p.data for k, p in self.params.items()}
         return infer_logits(self.spec, params, x).argmax(axis=1)
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 class Sgd:
-    def __init__(self, params: dict[str, Tensor], lr: float,
+    """Plain SGD on a dict of arrays. ``step`` rebinds every entry to a new
+    array, so the arrays the dict started with are never written."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float,
                  prox_mu: float = 0.0,
                  anchor: dict[str, np.ndarray] | None = None):
         if prox_mu != 0.0 and anchor is None:
@@ -18,16 +19,14 @@ class Sgd:
         self.prox_mu = prox_mu
         self.anchor = anchor
 
-    def step(self) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update from the gradients by name; a parameter without one
+        stays as it is."""
         for name, p in self.params.items():
-            if p.grad is None:
+            g = grads.get(name)
+            if g is None:
                 continue
-            g = p.grad
             # keep the zero-coefficient path bit-identical to plain SGD
             if self.prox_mu != 0.0:
-                g = g + self.prox_mu * (p.data - self.anchor[name])
-            p.data = p.data - self.lr * g
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+                g = g + self.prox_mu * (p - self.anchor[name])
+            self.params[name] = p - self.lr * g

@@ -3,9 +3,14 @@
 A Tensor wraps a float64 ndarray plus an optional gradient buffer. Ops build
 an implicit DAG through parent links and per-node backward closures;
 ``Tensor.backward()`` runs the topological sweep. Only the handful of ops the
-training stack needs are implemented (elementwise arithmetic with
-broadcasting, matmul, reductions, reshape, relu, sqrt).
-Convolution and pooling live in ``layers``.
+network needs are implemented (elementwise arithmetic with broadcasting,
+matmul, reductions, reshape, relu, sqrt). Convolution, pooling, the linear
+head and the loss live in ``layers`` as kernel pairs, which
+``kernel_node`` wraps into one node each.
+
+Training does not use the graph: it chains the kernel pairs directly
+(``layers.net_backward``). The graph serves ``theory``, the gradient
+checks and the tests' reference for that chain.
 """
 
 from __future__ import annotations
@@ -228,3 +233,20 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, name={self.name!r})"
+
+
+def kernel_node(data: np.ndarray, parents, grads) -> Tensor:
+    """The node of a kernel pair: ``data`` is the forward kernel's output
+    and ``grads(g)`` runs the backward kernel, returning one gradient per
+    entry of ``parents``. A None parent is a constant; its gradient is
+    ignored. The closure holds the parents, not the node, so it makes no
+    reference cycle."""
+    out = Tensor(data, tuple(p for p in parents if p is not None))
+
+    def back(g):
+        for p, gp in zip(parents, grads(g)):
+            if p is not None:
+                p._accumulate(gp)
+
+    out._backward = back
+    return out

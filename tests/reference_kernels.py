@@ -7,17 +7,21 @@ input gradient nobody reads, and it scatters patch gradients back with one
 strided ``+=`` per kernel tap. ``relu_maxpool2x2`` is the full-size relu
 node followed by the ``maxpool2x2`` node. ``ffa_transform`` builds the
 augmentation as the 19-node graph its formula spells out, statistics
-included. ``accumulate`` zero-fills a new gradient buffer, then adds.
-``install`` swaps all of them into the library, the two forward kernels
-included, so ``infer_logits`` runs on them too; runs with and without them
-must agree bit for bit.
+included. ``linear`` is a matmul node and a bias add node, and
+``softmax_cross_entropy`` writes its backward inline. ``accumulate``
+zero-fills a new gradient buffer, then adds. ``batch_grads`` is the
+training step as a graph: ``ConvNet.forward``, the loss nodes and
+``Tensor.backward``. ``install`` swaps all of them into the library, the
+two forward kernels and the training step included, so training runs on
+the graph and ``infer_logits`` on the reference forward kernels; runs with
+and without them must agree bit for bit.
 """
 
 import importlib
 
 import numpy as np
 
-from fedfa import layers
+from fedfa import experiment, layers
 from fedfa.stats import EPS_VAR, ChannelStats
 from fedfa.tensor import Tensor
 
@@ -90,6 +94,45 @@ def ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=EPS_VAR):
     return sigma_hat * ((x - mu) / sigma) + mu_hat
 
 
+def linear(x, weight, bias):
+    return x @ weight + bias
+
+
+def softmax_cross_entropy(logits, labels):
+    z = logits.data
+    b = z.shape[0]
+    m = z.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
+    out = Tensor((lse - z[np.arange(b), labels]).mean(), (logits,))
+
+    def back(g):
+        p = np.exp(z - m)
+        p /= p.sum(axis=1, keepdims=True)
+        p[np.arange(b), labels] -= 1.0
+        logits._accumulate(g * p / b)
+
+    out._backward = back
+    return out
+
+
+def batch_grads(net_spec, params, x, targets, hooks=None):
+    tparams = {k: Tensor(v) for k, v in params.items()}
+    # a chain hook returns (out, back); a graph hook returns out
+    graph_hooks = hooks and [h and (lambda t, h=h: h(t)[0]) for h in hooks]
+    logits, _ = layers.ConvNet(net_spec, tparams).forward(Tensor(x),
+                                                          hooks=graph_hooks)
+    terms = [layers.softmax_cross_entropy(logits, labels) for labels, _ in targets]
+    if len(targets) == 1 and targets[0][1] == 1.0:
+        loss = terms[0]  # a plain batch
+    else:
+        # mixup: the lam-weighted sum of the losses against both label vectors
+        loss = terms[0] * targets[0][1]
+        for term, (_, weight) in zip(terms[1:], targets[1:]):
+            loss = loss + term * weight
+    loss.backward()
+    return float(loss.data), {k: t.grad for k, t in tparams.items()}
+
+
 def accumulate(self, g):
     if self.grad is None:
         self.grad = np.zeros_like(self.data)
@@ -101,5 +144,8 @@ def install(monkeypatch):
     monkeypatch.setattr(layers, "_pool_forward", pool_forward)
     monkeypatch.setattr(layers, "conv2d", conv2d)
     monkeypatch.setattr(layers, "relu_maxpool2x2", relu_maxpool2x2)
+    monkeypatch.setattr(layers, "linear", linear)
+    monkeypatch.setattr(layers, "softmax_cross_entropy", softmax_cross_entropy)
     monkeypatch.setattr(augment, "ffa_transform", ffa_transform)
     monkeypatch.setattr(Tensor, "_accumulate", accumulate)
+    monkeypatch.setattr(experiment, "batch_grads", batch_grads)

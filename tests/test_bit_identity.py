@@ -1,15 +1,19 @@
-"""Whole runs with the production kernels against the references.
+"""Whole runs with the production training chain against the reference graph.
 
-The references are the unfused graphs: full-size relu then maxpool2x2, the
-augmentation hook as 19 Tensor nodes, the tap-by-tap conv backward and a
-zero-filling gradient accumulator. They also replace the forward kernels
-that evaluation shares with training, with a broadcast conv bias add and a
-pool fold over the NCHW view, so the test accuracies in metrics.jsonl come
-from the references too; the fedavg run checks a training step with no
-hook. The conv stack stores its outputs NHWC in memory, and the FedFA
-hooks and the backward pass reduce over them, so a change of memory layout
-or summation order anywhere in the training step changes the low bits of
-a run. Stored hashes would tie this check to one machine's BLAS; comparing
+Production training runs every batch through the graph-free chain of kernel
+pairs (``experiment.batch_grads``). The reference trains through
+``ConvNet.forward`` and ``Tensor.backward`` on the unfused graphs:
+full-size relu then maxpool2x2, the augmentation hook as 19 Tensor nodes,
+the head as a matmul and a bias add, the tap-by-tap conv backward and a
+zero-filling gradient accumulator. The references also replace the forward
+kernels that evaluation shares with training, with a broadcast conv bias
+add and a pool fold over the NCHW view, so the test accuracies in
+metrics.jsonl come from the references too. The fedavg run checks a
+training step with no hook; fedprox, mixup and fedavgm check the proximal
+pull, the two-label loss and the server momentum. The conv stack stores its
+outputs NHWC in memory, and the FedFA hooks and the backward pass reduce
+over them, so a change of memory layout or summation order anywhere in the
+training step changes the low bits of a run. Stored hashes would tie this check to one machine's BLAS; comparing
 two runs in one process does not.
 """
 
@@ -45,7 +49,11 @@ def run_bytes(cfg, root):
     ("fedfa", {"batch_size": 47}),
     ("fedfa", {"algorithm": "fedfa-c"}),
     ("fedfa", {"algorithm": "fedfa-r"}),
-], ids=["fedavg", "fedfa_dirichlet", "fedfa", "fedfa_batch47", "fedfa-c", "fedfa-r"])
+    ("fedprox", {}),
+    ("fedfa", {"algorithm": "mixup"}),
+    ("fedfa", {"algorithm": "fedavgm"}),
+], ids=["fedavg", "fedfa_dirichlet", "fedfa", "fedfa_batch47", "fedfa-c", "fedfa-r",
+        "fedprox", "mixup", "fedavgm"])
 def test_runs_byte_identical_to_reference_kernels(config, changes, tmp_path,
                                                   monkeypatch):
     cfg = dataclasses.replace(

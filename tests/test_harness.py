@@ -1,5 +1,7 @@
 import copy
 import csv
+import dataclasses
+import glob
 import json
 import os
 import sys
@@ -23,9 +25,14 @@ TINY_DS = dict(classes=3, image_size=4, channels=2, noise=0.5,
                train_per_client=8, test_per_client=4)
 
 
+DATASET_FIELDS = {f.name for f in dataclasses.fields(DatasetConfig)}
+
+
 def tiny_cfg(**kw):
-    # TINY_DS keys set the dataset, the rest the experiment
-    ds = DatasetConfig(**{**TINY_DS, **{k: kw.pop(k) for k in TINY_DS if k in kw}})
+    # DatasetConfig fields set the dataset (on top of TINY_DS), the rest the
+    # experiment
+    ds = DatasetConfig(**{**TINY_DS,
+                          **{k: kw.pop(k) for k in DATASET_FIELDS & set(kw)}})
     base = dict(algorithm="fedfa", rounds=2, lr=0.05, batch_size=8,
                 clients=2, seed=0, dataset=ds)
     base.update(kw)
@@ -74,7 +81,11 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("random_std", -0.1), ("prox_mu", -0.01), ("server_momentum", -0.1),
-    ("server_momentum", 1.0), ("mixup_beta", 0.0), ("channels", 0)])
+    ("server_momentum", 1.0), ("mixup_beta", 0.0), ("channels", 0),
+    ("image_size", 0), ("image_size", -4), ("noise", -1.0),
+    ("shift_strength", -0.5), ("concentration", 0.0), ("concentration", -1.0),
+    ("size_ratio", 0.5), ("test_fraction", -0.1), ("test_fraction", 1.0),
+    ("clients", 1)])
 def test_config_rejects_bad_knob(tmp_path, field, value):
     # rejected whatever the algorithm, and before the run directory exists
     cfg = tiny_cfg(algorithm="fedavg", **{field: value})
@@ -83,6 +94,15 @@ def test_config_rejects_bad_knob(tmp_path, field, value):
     with pytest.raises(ValueError, match=field):
         run_experiment(cfg, run_root=tmp_path)
     assert not (tmp_path / cfg.name).exists()
+
+
+def test_shipped_and_tiny_configs_validate():
+    tiny_cfg().validate()
+    paths = glob.glob(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "configs", "*.json"))
+    assert paths
+    for path in paths:
+        ExperimentConfig.from_json(path).validate()
 
 
 def test_config_name():
