@@ -16,8 +16,10 @@ callers:
 - ``net_forward`` and ``net_backward``, the one array forward and the
   graph-free training chain. ``experiment.make_train_fn`` trains every
   batch through them with a tape of backward contexts; evaluation
-  (``infer_logits``, ``ConvNet.predict``) runs ``net_forward`` without a
-  tape, so it keeps nothing. No Tensor is built.
+  (``predict``, which ``experiment.evaluate`` and ``ConvNet.predict``
+  call) runs ``net_forward`` without a tape, so it keeps nothing, on
+  cache-sized blocks of samples (``inference_blocks``). No Tensor is
+  built.
 - The autodiff ops ``conv2d``, ``relu_maxpool2x2``, ``maxpool2x2``,
   ``linear`` and ``softmax_cross_entropy``, one Tensor node per pair, and
   ``ConvNet.forward`` on top of them. The graph serves ``theory``, the
@@ -398,13 +400,26 @@ class NetSpec:
     classes: int
 
     @property
-    def feature_dims(self) -> tuple[int, int]:
-        size = self.image_size
+    def conv_sizes(self) -> tuple[int, ...]:
+        """Side of each stage's conv output, before its pool."""
+        size, sizes = self.image_size, []
         for s in self.stages:
             size = (size + 2 * s.padding - s.ksize) // s.stride + 1
+            sizes.append(size)
             if s.pool:
                 size //= 2
-        return self.stages[-1].out_ch, size
+        return tuple(sizes)
+
+    @property
+    def feature_dims(self) -> tuple[int, int]:
+        last, size = self.stages[-1], self.conv_sizes[-1]
+        return last.out_ch, size // 2 if last.pool else size
+
+    @property
+    def im2col_bytes(self) -> int:
+        """Bytes per sample of the net's largest float64 im2col matrix."""
+        return max(size * size * s.in_ch * s.ksize * s.ksize * 8
+                   for s, size in zip(self.stages, self.conv_sizes))
 
     @property
     def stage_channels(self) -> tuple[int, ...]:
@@ -531,6 +546,33 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     return net_forward(spec, params, x)
 
 
+# Inference runs on blocks of samples whose largest im2col matrix fits in
+# this many bytes, one core's L2 cache: a bigger block only adds scratch
+# memory and cache misses (Goto & van de Geijn, ACM TOMS 2008).
+EVAL_BLOCK_BYTES = 2 << 20
+
+
+def inference_blocks(spec: NetSpec, n: int) -> list[slice]:
+    """Split n samples into ceil(n / cap) blocks whose sizes differ by at
+    most one, cap = max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes). Balanced
+    blocks leave no tail of a few rows for BLAS's small-matrix paths; n = 0
+    gives one empty block."""
+    cap = max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes)
+    k = max(1, -(-n // cap))
+    q, r = divmod(n, k)
+    bounds = [i * q + min(i, r) for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def predict(spec: NetSpec, params: dict[str, np.ndarray],
+            x: np.ndarray) -> np.ndarray:
+    """Predicted class per sample: the argmax of ``infer_logits``, one
+    ``inference_blocks`` block at a time. A sample's logits do not depend
+    on the other samples of its block, so the blocks change no prediction."""
+    return np.concatenate([infer_logits(spec, params, x[blk]).argmax(axis=1)
+                           for blk in inference_blocks(spec, x.shape[0])])
+
+
 class ConvNet:
     """Conv stages with per-stage hooks, then a linear head."""
 
@@ -575,4 +617,4 @@ class ConvNet:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class per sample, without building an autodiff graph."""
         params = {k: p.data for k, p in self.params.items()}
-        return infer_logits(self.spec, params, x).argmax(axis=1)
+        return predict(self.spec, params, x)

@@ -11,10 +11,12 @@ included. ``linear`` is a matmul node and a bias add node, and
 ``softmax_cross_entropy`` writes its backward inline. ``accumulate``
 zero-fills a new gradient buffer, then adds. ``batch_grads`` is the
 training step as a graph: ``ConvNet.forward``, the loss nodes and
-``Tensor.backward``. ``install`` swaps all of them into the library, the
-two forward kernels and the training step included, so training runs on
-the graph and ``infer_logits`` on the reference forward kernels; runs with
-and without them must agree bit for bit.
+``Tensor.backward``. ``evaluate`` scores a test set in one unblocked
+``infer_logits`` call per 512 samples. ``install`` swaps all of them into
+the library, the two forward kernels, the training step and ``evaluate``
+included, so training runs on the graph and evaluation on the reference
+forward kernels without cache-sized blocks; runs with and without them
+must agree bit for bit.
 """
 
 import importlib
@@ -133,6 +135,15 @@ def batch_grads(net_spec, params, x, targets, hooks=None):
     return float(loss.data), {k: t.grad for k, t in tparams.items()}
 
 
+def evaluate(params, net_spec, x, y, chunk=512):
+    hits = 0
+    for start in range(0, x.shape[0], chunk):
+        pred = layers.infer_logits(net_spec, params,
+                                   x[start:start + chunk]).argmax(axis=1)
+        hits += int((pred == y[start:start + chunk]).sum())
+    return hits / x.shape[0]
+
+
 def accumulate(self, g):
     if self.grad is None:
         self.grad = np.zeros_like(self.data)
@@ -149,3 +160,4 @@ def install(monkeypatch):
     monkeypatch.setattr(augment, "ffa_transform", ffa_transform)
     monkeypatch.setattr(Tensor, "_accumulate", accumulate)
     monkeypatch.setattr(experiment, "batch_grads", batch_grads)
+    monkeypatch.setattr(experiment, "evaluate", evaluate)

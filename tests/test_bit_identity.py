@@ -30,6 +30,14 @@ import reference_kernels
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
+def assert_matches_reference(cfg, tmp_path, monkeypatch):
+    got = run_bytes(cfg, tmp_path / "production")
+    with monkeypatch.context() as m:
+        reference_kernels.install(m)
+        want = run_bytes(cfg, tmp_path / "reference")
+    assert got == want
+
+
 def run_bytes(cfg, root):
     run_dir = run_experiment(cfg, run_root=str(root))
     out = {}
@@ -59,8 +67,16 @@ def test_runs_byte_identical_to_reference_kernels(config, changes, tmp_path,
     cfg = dataclasses.replace(
         ExperimentConfig.from_json(os.path.join(CONFIG_DIR, f"{config}.json")),
         rounds=2, **changes)
-    got = run_bytes(cfg, tmp_path / "production")
-    with monkeypatch.context() as m:
-        reference_kernels.install(m)
-        want = run_bytes(cfg, tmp_path / "reference")
-    assert got == want
+    assert_matches_reference(cfg, tmp_path, monkeypatch)
+
+
+def test_blocked_evaluation_byte_identical_to_one_chunk(tmp_path, monkeypatch):
+    # 512 test samples per client: production scores them in 4 blocks of
+    # 128, the reference in one call; the shipped configs hold 128 per
+    # client, one block either way
+    base = ExperimentConfig.from_json(os.path.join(CONFIG_DIR, "fedavg.json"))
+    cfg = dataclasses.replace(
+        base, clients=8, rounds=2,
+        dataset=dataclasses.replace(base.dataset, train_per_client=32,
+                                    test_per_client=512))
+    assert_matches_reference(cfg, tmp_path, monkeypatch)

@@ -5,11 +5,12 @@ import glob
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedfa import checkpoint, experiment
+from fedfa import checkpoint, experiment, layers
 from fedfa.cli import main
 from fedfa.config import DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, evaluate, leave_one_out,
@@ -363,6 +364,30 @@ def test_evaluate_bounds():
     y = np.zeros(10, dtype=int)
     acc = evaluate({k: t.data for k, t in params.items()}, spec, x, y)
     assert 0.0 <= acc <= 1.0
+
+
+def test_evaluate_rejects_an_empty_test_set():
+    spec = default_net_spec(channels=2, image_size=4, classes=3)
+    params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
+    with pytest.raises(ValueError, match="test set is empty"):
+        evaluate(params, spec, np.zeros((0, 2, 4, 4)), np.zeros(0, dtype=int))
+
+
+def test_evaluate_working_set_stays_cache_sized():
+    # one unblocked call on 512 samples peaks near 15 MiB, mostly its
+    # 7 MiB stage-0 im2col matrix; 4 blocks of 128 stay under 4 MiB
+    spec = default_net_spec(channels=3, image_size=8, classes=6)
+    params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
+    x = np.random.default_rng(0).standard_normal((512, 3, 8, 8))
+    y = np.zeros(512, dtype=int)
+    evaluate(params, spec, x[:1], y[:1])  # build the cached gather indices
+    tracemalloc.start()
+    try:
+        evaluate(params, spec, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * layers.EVAL_BLOCK_BYTES
 
 
 # ------------------------------------------------------------------ theory

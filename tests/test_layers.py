@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fedfa.layers import (ConvNet, NetSpec, StageSpec, _col2im,
-                          _pool_forward, channel_mean_std, conv2d,
-                          default_net_spec, global_avg_pool, infer_logits,
-                          init_params, linear, maxpool2x2, relu_maxpool2x2,
-                          softmax_cross_entropy)
+from fedfa import layers
+from fedfa.layers import (EVAL_BLOCK_BYTES, ConvNet, NetSpec, StageSpec,
+                          _col2im, _pool_forward, channel_mean_std, conv2d,
+                          default_net_spec, global_avg_pool, inference_blocks,
+                          infer_logits, init_params, linear, maxpool2x2,
+                          predict, relu_maxpool2x2, softmax_cross_entropy)
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
 
@@ -530,6 +531,50 @@ def test_predict_matches_autodiff_forward_exactly(batch):
     arrays = {k: p.data for k, p in params.items()}
     assert np.array_equal(infer_logits(spec, arrays, x), logits.data)
     assert np.array_equal(net.predict(x), logits.data.argmax(axis=1))
+
+
+@pytest.mark.parametrize("image_size,cap", [(8, 151), (16, 37)])
+def test_inference_blocks_are_balanced_and_fit_the_budget(image_size, cap):
+    # the largest im2col matrix is stage 0's: image_size**2 rows of 3*3*3
+    spec = default_net_spec(channels=3, image_size=image_size, classes=6)
+    assert spec.im2col_bytes == image_size ** 2 * 27 * 8
+    assert EVAL_BLOCK_BYTES // spec.im2col_bytes == cap
+    for n in range(1, 4 * cap + 2):
+        blocks = inference_blocks(spec, n)
+        sizes = [blk.stop - blk.start for blk in blocks]
+        assert len(blocks) == -(-n // cap)
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= cap
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    assert [blk.stop - blk.start for blk in inference_blocks(spec, 0)] == [0]
+
+
+@pytest.mark.parametrize("image_size", [8, 16])
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 151, 152, 512, 600])
+def test_blocked_predictions_equal_one_unblocked_call(n, image_size):
+    spec = default_net_spec(channels=3, image_size=image_size, classes=6)
+    params = {k: p.data for k, p in init_params(spec, stream(5, "init")).items()}
+    x = np.random.default_rng(n).standard_normal((n, 3, image_size, image_size))
+    assert np.array_equal(predict(spec, params, x),
+                          infer_logits(spec, params, x).argmax(axis=1))
+
+
+def test_a_set_within_the_cap_is_one_call(monkeypatch):
+    spec = default_net_spec(channels=3, image_size=8, classes=6)
+    params = {k: p.data for k, p in init_params(spec, stream(5, "init")).items()}
+    x = np.random.default_rng(0).standard_normal((512, 3, 8, 8))
+    calls = []
+
+    def counted(spec, params, xb):
+        calls.append(xb.shape[0])
+        return infer_logits(spec, params, xb)
+
+    monkeypatch.setattr(layers, "infer_logits", counted)
+    for n, want in [(1, [1]), (128, [128]), (151, [151]), (152, [76, 76]),
+                    (512, [128] * 4)]:
+        calls.clear()
+        predict(spec, params, x[:n])
+        assert calls == want
 
 
 def test_infer_logits_without_pool_matches_forward():
