@@ -2,11 +2,16 @@
 
 A gated layer that resamples the per-sample channel statistics of a
 feature map and renormalizes the map onto the new statistics. The gate is
-drawn first; only a fired gate computes the statistics, once, and they
-feed the variance budget, the transform and the caller's momentum update.
-Budgets come from the batch itself ("client" variant), a fixed width
-("random"), or the batch variances rescaled by cross-client modulation
-coefficients ("full").
+drawn first; only a fired gate computes the statistics, once, through
+``stats.channel_stats``, and they feed the variance budget, the transform
+and the caller's momentum update. Budgets come from the batch itself
+("client" variant), a fixed width ("random"), or the batch variances
+rescaled by cross-client modulation coefficients ("full").
+
+The mean and the std travel as one stacked pair, as in ``stats``: the
+statistics are [2,B,C], the unit-normal draws [2,B,C], and the budgets
+and modulation coefficients [2,C], each with (mean, std) on the leading
+axis. Each formula is written once on the stacked array.
 
 The renormalization is a kernel pair, ``ffa_forward`` and
 ``ffa_backward``. The backward is the closed form of the graph the formula
@@ -24,31 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import channel_mean_std
-from .stats import EPS_VAR, BatchStatVariance, ChannelStats
+from .stats import EPS_VAR, channel_stats
 from .tensor import Tensor, kernel_node
 
 VARIANTS = ("full", "client", "random")
-
-
-@dataclass(frozen=True)
-class ModulationCoefficients:
-    """Per-channel rescaling weights, each vector summing to C."""
-
-    gamma_mu: np.ndarray
-    gamma_sigma: np.ndarray
-
-    @classmethod
-    def zero(cls, channels: int) -> "ModulationCoefficients":
-        return cls(np.zeros(channels), np.zeros(channels))
-
-
-@dataclass(frozen=True)
-class FusedVariance:
-    """Final per-channel variance budgets for statistic resampling."""
-
-    var_mu_hat: np.ndarray
-    var_sigma_hat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,20 +52,21 @@ class FfaConfig:
 
 
 def modulate(shared_var: np.ndarray) -> np.ndarray:
-    """Convert cross-client variances to per-channel weights summing to C.
+    """Convert cross-client variances to per-channel weights summing to C,
+    along the last axis ([C], or the [2,C] pair).
 
     Weight of channel j is (1 + 1/v_j)^-1 = v_j/(1+v_j), the heavy-tailed
     unit-degree form; a zero-variance channel gets weight 0 (continuous
-    limit). All-zero input degenerates to uniform weights.
+    limit). An all-zero vector degenerates to uniform weights.
     """
     v = np.asarray(shared_var, dtype=np.float64)
     if np.any(v < 0):
         raise ValueError("shared variances must be nonnegative")
     w = v / (1.0 + v)
-    total = w.sum()
-    if total == 0.0:
-        return np.ones_like(v)
-    return v.size * w / total
+    total = w.sum(axis=-1, keepdims=True)
+    out = np.ones_like(w)
+    np.divide(v.shape[-1] * w, total, out=out, where=total != 0.0)
+    return out
 
 
 def fuse(gamma: np.ndarray, client_var: np.ndarray) -> np.ndarray:
@@ -95,56 +80,47 @@ def fuse(gamma: np.ndarray, client_var: np.ndarray) -> np.ndarray:
     return (gamma + 1.0) * client_var
 
 
-def variant_variances(cfg: FfaConfig, client_var: BatchStatVariance,
-                      gamma: ModulationCoefficients | None) -> FusedVariance:
-    """Pick the variance budget for ``cfg.variant``.
+def variant_variances(cfg: FfaConfig, client_var: np.ndarray,
+                      gamma: np.ndarray | None) -> np.ndarray:
+    """Pick the [2,C] variance budget for ``cfg.variant``.
 
-    client_var carries the batch variances (var_mu, var_sigma). For the
-    full variant a missing gamma (nothing aggregated yet) degenerates to
-    the client-only budget; the other variants ignore gamma.
+    client_var is the batch variances [2,C] and gamma the site's [2,C]
+    modulation coefficients. For the full variant a missing gamma (nothing
+    aggregated yet) degenerates to the client-only budget, which fusing
+    with a zero gamma gives bit for bit; the other variants ignore gamma.
     """
     if cfg.variant == "random":
-        v = np.full(client_var.var_mu.shape[0], cfg.random_std ** 2)
-        return FusedVariance(var_mu_hat=v, var_sigma_hat=v.copy())
-    if cfg.variant == "client":
-        return FusedVariance(client_var.var_mu, client_var.var_sigma)
-    if gamma is None:
-        gamma = ModulationCoefficients.zero(client_var.var_mu.shape[0])
-    return FusedVariance(
-        var_mu_hat=fuse(gamma.gamma_mu, client_var.var_mu),
-        var_sigma_hat=fuse(gamma.gamma_sigma, client_var.var_sigma),
-    )
+        return np.full(client_var.shape, cfg.random_std ** 2)
+    if cfg.variant == "client" or gamma is None:
+        return client_var
+    return fuse(gamma, client_var)
 
 
-def _shifts(fused: FusedVariance, eps_mu, eps_sigma):
-    """eps * sqrt(var_hat) for the mean and the std: the shifts of the
-    statistics, as eps's [B,C] plus two unit axes."""
-    def shift(eps, var):
-        e = np.asarray(eps, dtype=np.float64)
-        return e.reshape(e.shape + (1, 1)) * np.sqrt(var)[None, :, None, None]
-    return shift(eps_mu, fused.var_mu_hat), shift(eps_sigma, fused.var_sigma_hat)
+def _shifts(fused: np.ndarray, eps) -> np.ndarray:
+    """eps * sqrt(var_hat): the shifts [2,B,C] of the statistics, from the
+    draws eps [2,B,C] (or broadcastable, e.g. a pair of [B,C] arrays) and
+    the [2,C] budget."""
+    return np.asarray(eps, dtype=np.float64) * np.sqrt(fused)[:, None, :]
 
 
-def ffa_forward(x: np.ndarray, fused, eps_mu: np.ndarray,
-                eps_sigma: np.ndarray, eps_var: float = EPS_VAR):
+def ffa_forward(x: np.ndarray, fused, eps, eps_var: float = EPS_VAR):
     """Forward kernel of the augmentation's deterministic core.
 
     Renormalizes x from its statistics (mu, sigma) onto the shifted ones:
-    (sigma + d_sigma) * (x - mu) / sigma + (mu + d_mu). fused is the
-    variance budget, or a function that builds it from the map's
-    ``ChannelStats``. eps_mu/eps_sigma broadcast against [B,C]. Returns the
+    (sigma + d_sigma) * (x - mu) / sigma + (mu + d_mu). fused is the [2,C]
+    variance budget, or a function that builds it from the map's [2,B,C]
+    statistics. eps is the [2,B,C] draw (see ``_shifts``). Returns the
     output, in x's memory layout, and the context of ``ffa_backward``.
     """
-    mu, sigma = channel_mean_std(x, eps_var=eps_var)
+    stats = channel_stats(x, eps_var=eps_var)
     if callable(fused):
-        fused = fused(ChannelStats.of(mu, sigma))
-    d_mu, d_sigma = _shifts(fused, eps_mu, eps_sigma)
-    mu_hat = mu + d_mu
-    sigma_hat = sigma + d_sigma
+        fused = fused(stats)
+    mu, sigma = stats[..., None, None]
+    mu_hat, sigma_hat = (stats + _shifts(fused, eps))[..., None, None]
     xc = x - mu
     q = xc / sigma
     out = sigma_hat * q + mu_hat
-    return out, (out, mu, sigma, sigma_hat, xc, q)
+    return out, (out, sigma, sigma_hat, xc, q)
 
 
 def ffa_backward(g: np.ndarray, ctx) -> np.ndarray:
@@ -164,7 +140,7 @@ def ffa_backward(g: np.ndarray, ctx) -> np.ndarray:
     different value. The sum over g itself runs in g's layout, as the
     graph's sum over the gradient of out does.
     """
-    out, mu, sigma, sigma_hat, xc, q = ctx
+    out, sigma, sigma_hat, xc, q = ctx
     inv_n = 1.0 / float(xc.shape[2] * xc.shape[3])
 
     def per_map(a):  # the graph's unbroadcast from [B,C,H,W] to [B,C,1,1]
@@ -189,54 +165,52 @@ def ffa_backward(g: np.ndarray, ctx) -> np.ndarray:
 
 def ffa_transform(x: Tensor, fused, eps_mu: np.ndarray,
                   eps_sigma: np.ndarray, eps_var: float = EPS_VAR) -> Tensor:
-    """The kernel pair ``ffa_forward``/``ffa_backward`` as one Tensor node."""
-    out, ctx = ffa_forward(x.data, fused, eps_mu, eps_sigma, eps_var)
+    """The kernel pair ``ffa_forward``/``ffa_backward`` as one Tensor node,
+    with the draws of the mean and the std as two arrays."""
+    out, ctx = ffa_forward(x.data, fused, (eps_mu, eps_sigma), eps_var)
     return kernel_node(out, (x,), lambda g: (ffa_backward(g, ctx),))
 
 
-def draw_eps(rng: np.random.Generator, batch: int,
-             channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """One unit-normal draw per (sample, channel) for the mean and the std."""
-    return (rng.standard_normal((batch, channels)),
-            rng.standard_normal((batch, channels)))
+def draw_eps(rng: np.random.Generator, batch: int, channels: int) -> np.ndarray:
+    """One unit-normal draw per (sample, channel) for the mean and the std,
+    [2,B,C]: the numbers of a [B,C] draw for the mean, then one for the std."""
+    return rng.standard_normal((2, batch, channels))
 
 
 def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator,
             training: bool = True, eps=None):
     """Apply the gated statistic perturbation to a feature map.
 
-    fused is the variance budget, or a function that builds it from the
-    map's ``ChannelStats``. The gate is drawn first: only a fired gate
-    computes the statistics, once, and calls that function with them.
+    fused is the [2,C] variance budget, or a function that builds it from
+    the map's [2,B,C] statistics. The gate is drawn first: only a fired
+    gate computes the statistics, once, and calls that function with them.
     Passing eps forces the gate open with those draws; the rng is not
     consumed.
 
     For a Tensor x, returns (x_hat, used_eps): x_hat is one
-    ``ffa_transform`` node and used_eps the (eps_mu, eps_sigma) drawn. For
-    an array x, the training chain's hook, returns (x_hat, back): back maps
-    the gradient of x_hat to that of x. used_eps and back are None when
-    the gate stayed closed (eval mode, p == 0, or an unlucky draw), and
-    x_hat is then x itself.
+    ``ffa_transform`` node and used_eps the [2,B,C] draw (or the eps
+    passed). For an array x, the training chain's hook, returns (x_hat,
+    back): back maps the gradient of x_hat to that of x. used_eps and back
+    are None when the gate stayed closed (eval mode, p == 0, or an unlucky
+    draw), and x_hat is then x itself.
     """
     if eps is None:
         if not training or cfg.p == 0.0 or rng.random() >= cfg.p:
             return x, None
         eps = draw_eps(rng, x.shape[0], x.shape[1])
-    eps_mu, eps_sigma = eps
     if isinstance(x, Tensor):
-        return (ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var),
-                (eps_mu, eps_sigma))
-    out, ctx = ffa_forward(x, fused, eps_mu, eps_sigma, eps_var=cfg.eps_var)
+        return ffa_transform(x, fused, *eps, eps_var=cfg.eps_var), eps
+    out, ctx = ffa_forward(x, fused, eps, eps_var=cfg.eps_var)
     return out, functools.partial(ffa_backward, ctx=ctx)
 
 
-def noise_view(x: np.ndarray, fused: FusedVariance, used_eps,
+def noise_view(x: np.ndarray, fused: np.ndarray, used_eps,
                eps_var: float = EPS_VAR) -> np.ndarray:
     """Additive-noise form of the same perturbation.
 
     e = eps_sigma * S_sigma * (x - mu)/sigma + eps_mu * S_mu, so that
     x + e reproduces the augmented map exactly (up to rounding).
     """
-    mu, sigma = channel_mean_std(x, eps_var=eps_var)
-    d_mu, d_sigma = _shifts(fused, *used_eps)
+    mu, sigma = channel_stats(x, eps_var=eps_var)[..., None, None]
+    d_mu, d_sigma = _shifts(fused, used_eps)[..., None, None]
     return d_sigma * (x - mu) / sigma + d_mu

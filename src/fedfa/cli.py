@@ -83,7 +83,7 @@ def _check_theory(seed: int) -> int:
 
 
 def _check_invariants(seed: int) -> int:
-    from .augment import FusedVariance, augment, modulate, noise_view, FfaConfig
+    from .augment import FfaConfig, augment, modulate, noise_view
     from .rng import stream
     from .tensor import Tensor
 
@@ -103,8 +103,8 @@ def _check_invariants(seed: int) -> int:
         b, c, h, w = (int(rng.integers(1, 5)), int(rng.integers(1, 9)),
                       int(rng.integers(2, 7)), int(rng.integers(2, 7)))
         x = rng.standard_normal((b, c, h, w)) * rng.uniform(0.5, 3)
-        fused = FusedVariance(rng.uniform(0, 2, c), rng.uniform(0, 2, c))
-        eps = (rng.standard_normal((b, c)), rng.standard_normal((b, c)))
+        fused = rng.uniform(0, 2, (2, c))
+        eps = rng.standard_normal((2, b, c))
         cfg = FfaConfig(p=1.0)
         x_hat, used = augment(Tensor(x), fused, cfg, rng, eps=eps)
         e = noise_view(x, fused, used)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint
-from .augment import ModulationCoefficients, modulate
+from .augment import modulate
 from .config import ExperimentConfig
 from .stats import MomentumStats
 from .rng import stream
@@ -49,7 +49,8 @@ class ServerState:
     stat_channels: tuple[int, ...] = ()
     # by client_id
     client_stats: dict[int, list[MomentumStats]] = field(default_factory=dict)
-    coeffs: list[ModulationCoefficients] | None = None
+    # per site, [2,C]: the modulation coefficients of the mean and the std
+    coeffs: list[np.ndarray] | None = None
     momentum_buf: dict[str, np.ndarray] | None = None
 
 
@@ -93,13 +94,14 @@ class LocalResult:
     n_samples: int
 
 
-def sharing_variances(stats_by_client: list[MomentumStats]):
-    """Biased per-channel variance of the momentum statistics across clients."""
+def sharing_variances(stats_by_client: list[MomentumStats]) -> np.ndarray:
+    """Biased per-channel variance of the momentum pairs across clients, [2,C].
+
+    The pairs are stacked [2,K,C], statistic-major, so each statistic's
+    clients sum in the order of an unstacked [K,C] array."""
     if not stats_by_client:
         raise ValueError("no client statistics to aggregate")
-    mu = np.stack([s.mu_bar for s in stats_by_client])
-    sigma = np.stack([s.sigma_bar for s in stats_by_client])
-    return mu.var(axis=0), sigma.var(axis=0)
+    return np.stack([s.pair for s in stats_by_client], axis=1).var(axis=1)
 
 
 def aggregate(models: list[tuple[dict[str, np.ndarray], float]]) -> dict[str, np.ndarray]:
@@ -161,16 +163,9 @@ def recompute_coeffs(server: ServerState) -> None:
     if not server.client_stats:
         server.coeffs = None
         return
-    sites = len(server.stat_channels)
-    coeffs = []
-    for k in range(sites):
-        per_client = [st[k] for st in server.client_stats.values()]
-        var_mu, var_sigma = sharing_variances(per_client)
-        coeffs.append(ModulationCoefficients(
-            gamma_mu=modulate(var_mu),
-            gamma_sigma=modulate(var_sigma),
-        ))
-    server.coeffs = coeffs
+    server.coeffs = [
+        modulate(sharing_variances([st[k] for st in server.client_stats.values()]))
+        for k in range(len(server.stat_channels))]
 
 
 def run_round(server: ServerState, clients: list[ClientState],

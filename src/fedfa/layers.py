@@ -360,11 +360,12 @@ def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = 1e-6):
     """Per-sample per-channel spatial statistics, the one implementation of
     them.
 
-    Returns (mu, sigma), both shaped [B,C,1,1]: differentiable Tensors for
-    a Tensor x, arrays for an ndarray x (``stats.channel_stats`` and the
-    fused augmentation node), from the same numpy arithmetic. sigma is the
-    square root of the population spatial variance plus eps_var, which
-    keeps the node differentiable on constant channels.
+    For a Tensor x, returns the differentiable pair (mu, sigma), both
+    [B,C,1,1]. For an ndarray x (``stats.channel_stats``), returns one
+    [2,B,C,1,1] array whose leading axis is (mu, sigma), from the same
+    numpy arithmetic; it unpacks as the pair does. sigma is the square
+    root of the population spatial variance plus eps_var, which keeps the
+    node differentiable on constant channels.
     """
     if isinstance(x, Tensor):
         mu = x.mean(axis=(2, 3), keepdims=True)
@@ -372,9 +373,11 @@ def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = 1e-6):
         return mu, (var + eps_var).sqrt()
     x = np.asarray(x, dtype=np.float64)
     inv_n = 1.0 / float(x.shape[2] * x.shape[3])
-    mu = x.sum(axis=(2, 3), keepdims=True) * inv_n
+    pair = np.empty((2,) + x.shape[:2] + (1, 1))
+    mu = np.multiply(x.sum(axis=(2, 3), keepdims=True), inv_n, out=pair[0])
     var = ((x - mu) ** 2).sum(axis=(2, 3), keepdims=True) * inv_n
-    return mu, np.sqrt(var + eps_var)
+    np.sqrt(var + eps_var, out=pair[1])
+    return pair
 
 
 # ---- the conv net -----------------------------------------------------------
@@ -486,6 +489,10 @@ def net_forward(spec: NetSpec, params: dict[str, np.ndarray], x: np.ndarray,
     out = np.asarray(x, dtype=np.float64)
     if out.ndim != 4:
         raise ValueError(f"expected input [B,C,H,W], got shape {out.shape}")
+    if out.shape[0] == 0:
+        raise ValueError("net_forward: the batch is empty")
+    if hooks is not None and len(hooks) > len(spec.stages):
+        raise ValueError(f"{len(hooks)} hooks for {len(spec.stages)} stages")
     for i, s in enumerate(spec.stages):
         out, conv = conv2d_forward(out, params[f"conv{i}.weight"],
                                    params[f"conv{i}.bias"], s.stride, s.padding)
@@ -556,7 +563,7 @@ def inference_blocks(spec: NetSpec, n: int) -> list[slice]:
     """Split n samples into ceil(n / cap) blocks whose sizes differ by at
     most one, cap = max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes). Balanced
     blocks leave no tail of a few rows for BLAS's small-matrix paths; n = 0
-    gives one empty block."""
+    gives one empty block, which ``net_forward`` rejects."""
     cap = max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes)
     k = max(1, -(-n // cap))
     q, r = divmod(n, k)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import FfaConfig, draw_eps, noise_view, variant_variances
+from .augment import draw_eps, noise_view
 from .data import TaskSpec, make_base_sampler
 from .layers import (ConvNet, NetSpec, StageSpec, default_net_spec,
                      init_params, softmax_cross_entropy)
@@ -80,9 +80,7 @@ def ffa_noise_source(net: ConvNet, x: np.ndarray, seed: int = 0,
     noises = []
     for k, t in enumerate(tape.stage_outputs):
         act = t.data
-        st = channel_stats(act, eps_var=eps_var)
-        fused = variant_variances(FfaConfig(variant="client"),
-                                  batch_variances(st), None)
+        fused = batch_variances(channel_stats(act, eps_var=eps_var))
         eps = draw_eps(stream(seed, "noise", k), *act.shape[:2])
         noises.append(noise_view(act, fused, eps, eps_var=eps_var))
     return noises

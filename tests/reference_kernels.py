@@ -24,7 +24,7 @@ import importlib
 import numpy as np
 
 from fedfa import experiment, layers
-from fedfa.stats import EPS_VAR, ChannelStats
+from fedfa.stats import EPS_VAR
 from fedfa.tensor import Tensor
 
 # the module: the package name fedfa.augment is the function
@@ -89,8 +89,8 @@ def relu_maxpool2x2(z):
 def ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=EPS_VAR):
     mu, sigma = layers.channel_mean_std(x, eps_var=eps_var)
     if callable(fused):
-        fused = fused(ChannelStats.of(mu.data, sigma.data))
-    d_mu, d_sigma = augment._shifts(fused, eps_mu, eps_sigma)
+        fused = fused(np.stack((mu.data, sigma.data))[..., 0, 0])
+    d_mu, d_sigma = augment._shifts(fused, (eps_mu, eps_sigma))[..., None, None]
     mu_hat = mu + d_mu
     sigma_hat = sigma + d_sigma
     return sigma_hat * ((x - mu) / sigma) + mu_hat

@@ -10,8 +10,7 @@ import time
 
 import numpy as np
 
-from fedfa.augment import (FfaConfig, FusedVariance, augment, ffa_transform,
-                           modulate, noise_view)
+from fedfa.augment import FfaConfig, augment, ffa_transform, modulate, noise_view
 from fedfa.config import DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, federated_training,
                               leave_one_out, run_experiment)
@@ -44,7 +43,7 @@ def test_criterion_1_additive_noise_identity():
         h = int(rng.integers(2, 7))
         w = int(rng.integers(2, 7))
         x = rng.standard_normal((b, c, h, w)) * rng.uniform(0.5, 3.0)
-        fused = FusedVariance(rng.uniform(0, 2, c), rng.uniform(0, 2, c))
+        fused = np.stack((rng.uniform(0, 2, c), rng.uniform(0, 2, c)))
         eps = (rng.standard_normal((b, c)), rng.standard_normal((b, c)))
         x_hat, used = augment(Tensor(x), fused, FfaConfig(), rng, eps=eps)
         e = noise_view(x, fused, used)
@@ -125,7 +124,7 @@ def test_criterion_3_gradient_oracle():
                    + (channel_mean_std(x)[1].reshape((2, 3)) * Tensor(r_mu)).sum()),
         [rng.standard_normal((2, 3, 4, 4))])
 
-    fused = FusedVariance(rng.uniform(0.1, 2, 3), rng.uniform(0.1, 2, 3))
+    fused = np.stack((rng.uniform(0.1, 2, 3), rng.uniform(0.1, 2, 3)))
     eps = (rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
     r_ffa = rng.standard_normal((2, 3, 4, 4))
     worst["ffa_transform"] = check_grads(

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fedfa.augment import (FfaConfig, FusedVariance, ModulationCoefficients,
-                           augment, draw_eps, ffa_transform, fuse, modulate,
-                           noise_view, variant_variances)
-from fedfa.stats import BatchStatVariance, channel_stats
+from fedfa.augment import (FfaConfig, augment, draw_eps, ffa_transform, fuse,
+                           modulate, noise_view, variant_variances)
+from fedfa.stats import channel_stats
 from fedfa.tensor import Tensor
 from gradcheck import check_grads
 
@@ -56,6 +55,17 @@ def test_modulate_sums_to_channel_count(v):
     assert np.all(g >= 0)
 
 
+@pytest.mark.parametrize("c", [1, 2, 7, 8, 9, 64, 513])
+def test_modulate_pair_is_each_row_bit_for_bit(c):
+    # the [2,C] pair modulates along its last axis; a zero row stays uniform
+    v = np.random.default_rng(c).uniform(0, 5, (2, c))
+    for pair in (v, np.stack((v[0], np.zeros(c)))):
+        got = modulate(pair)
+        assert got.shape == (2, c)
+        for row, want in zip(got, pair):
+            assert np.array_equal(row, modulate(want))
+
+
 # -------------------------------------------------------------------- fuse
 
 def test_fuse_zero_gamma_is_identity():
@@ -84,46 +94,36 @@ FULL = FfaConfig(variant="full")
 CLIENT = FfaConfig(variant="client")
 
 
-def _bv(var_mu, var_sigma):
-    return BatchStatVariance(np.asarray(var_mu, dtype=np.float64),
-                             np.asarray(var_sigma, dtype=np.float64))
-
-
 def test_random_variant_constant_budget():
     fused = variant_variances(FfaConfig(variant="random", random_std=0.5),
-                              _bv([3.0, 9.0], [1.0, 1.0]), None)
-    assert np.array_equal(fused.var_mu_hat, [0.25, 0.25])
-    assert np.array_equal(fused.var_sigma_hat, [0.25, 0.25])
+                              np.array([[3.0, 9.0], [1.0, 1.0]]), None)
+    assert np.array_equal(fused, np.full((2, 2), 0.25))
 
 
 def test_client_variant_passthrough():
-    bv = _bv([0.1, 0.2], [0.3, 0.4])
+    bv = np.array([[0.1, 0.2], [0.3, 0.4]])
     fused = variant_variances(CLIENT, bv, None)
-    assert np.array_equal(fused.var_mu_hat, bv.var_mu)
-    assert np.array_equal(fused.var_sigma_hat, bv.var_sigma)
+    assert np.array_equal(fused, bv)
 
 
 def test_full_variant_zero_gamma_matches_client():
-    bv = _bv([0.1, 0.2], [0.3, 0.4])
-    zero = variant_variances(FULL, bv, ModulationCoefficients.zero(2))
+    bv = np.array([[0.1, 0.2], [0.3, 0.4]])
+    zero = variant_variances(FULL, bv, np.zeros((2, 2)))
     client = variant_variances(CLIENT, bv, None)
-    assert np.array_equal(zero.var_mu_hat, client.var_mu_hat)
-    assert np.array_equal(zero.var_sigma_hat, client.var_sigma_hat)
+    assert np.array_equal(zero, client)
 
 
 def test_full_variant_missing_gamma_matches_client():
-    bv = _bv([0.5, 0.6], [0.7, 0.8])
+    bv = np.array([[0.5, 0.6], [0.7, 0.8]])
     fused = variant_variances(FULL, bv, None)
-    assert np.array_equal(fused.var_mu_hat, bv.var_mu)
-    assert np.array_equal(fused.var_sigma_hat, bv.var_sigma)
+    assert np.array_equal(fused, bv)
 
 
 def test_full_variant_rescales():
-    bv = _bv([0.1, 0.2], [0.1, 0.2])
-    gamma = ModulationCoefficients(np.array([0.8, 1.2]), np.array([1.0, 1.0]))
+    bv = np.array([[0.1, 0.2], [0.1, 0.2]])
+    gamma = np.array([[0.8, 1.2], [1.0, 1.0]])
     fused = variant_variances(FULL, bv, gamma)
-    assert np.allclose(fused.var_mu_hat, [0.18, 0.44], atol=1e-12)
-    assert np.allclose(fused.var_sigma_hat, [0.2, 0.4], atol=1e-12)
+    assert np.allclose(fused, [[0.18, 0.44], [0.2, 0.4]], atol=1e-12)
 
 
 def test_unknown_variant_rejected():
@@ -143,7 +143,7 @@ def test_config_validation():
 def test_transform_hand_case():
     # map with mu=4 sigma=sqrt(5); unit budgets and eps=1 shift both stats by 1
     x = Tensor(np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2))
-    fused = FusedVariance(np.ones(1), np.ones(1))
+    fused = np.ones((2, 1))
     one = np.ones((1, 1))
     out = ffa_transform(x, fused, one, one, eps_var=0.0)
     want = np.array([2 - 3 / SQRT5, 4 - 1 / SQRT5, 6 + 1 / SQRT5, 8 + 3 / SQRT5])
@@ -153,7 +153,7 @@ def test_transform_hand_case():
 def test_transform_zero_eps_is_identity():
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-    fused = FusedVariance(rng.uniform(0, 2, 3), rng.uniform(0, 2, 3))
+    fused = rng.uniform(0, 2, (2, 3))
     zero = np.zeros((2, 3))
     out = ffa_transform(x, fused, zero, zero)
     assert np.allclose(out.data, x.data, atol=1e-12)
@@ -161,9 +161,9 @@ def test_transform_zero_eps_is_identity():
 
 def test_transform_noise_view_hand_case():
     x = np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2)
-    fused = FusedVariance(np.ones(1), np.ones(1))
+    fused = np.ones((2, 1))
     one = np.ones((1, 1))
-    e = noise_view(x, fused, (one, one), eps_var=0.0)
+    e = noise_view(x, fused, np.ones((2, 1, 1)), eps_var=0.0)
     want = np.array([1 - 3 / SQRT5, 1 - 1 / SQRT5, 1 + 1 / SQRT5, 1 + 3 / SQRT5])
     assert np.allclose(e.reshape(-1), want, atol=1e-12)
     out = ffa_transform(Tensor(x), fused, one, one, eps_var=0.0)
@@ -177,11 +177,11 @@ def test_additive_noise_identity(seed, b, c, per_sample):
     """The perturbation equals adding its noise view, elementwise."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((b, c, 3, 3)) * rng.uniform(0.5, 3)
-    fused = FusedVariance(rng.uniform(0, 4, c), rng.uniform(0, 4, c))
+    fused = rng.uniform(0, 4, (2, c))
     rows = b if per_sample else 1
-    eps = (rng.standard_normal((rows, c)), rng.standard_normal((rows, c)))
+    eps = rng.standard_normal((2, rows, c))
     x_hat, used = augment(Tensor(x), fused, FfaConfig(), rng, eps=eps)
-    assert used[0] is eps[0] and used[1] is eps[1]
+    assert used is eps
     e = noise_view(x, fused, used)
     assert np.abs(x + e - x_hat.data).max() < 1e-9
 
@@ -189,7 +189,7 @@ def test_additive_noise_identity(seed, b, c, per_sample):
 def test_augment_gate_closed_paths():
     rng = np.random.default_rng(0)
     x = Tensor(np.ones((2, 2, 2, 2)))
-    fused = FusedVariance(np.ones(2), np.ones(2))
+    fused = np.ones((2, 2))
     out, used = augment(x, fused, FfaConfig(p=0.0), rng)
     assert out is x and used is None
     out, used = augment(x, fused, FfaConfig(p=1.0), rng, training=False)
@@ -199,17 +199,17 @@ def test_augment_gate_closed_paths():
 def test_augment_p_one_always_fires():
     rng = np.random.default_rng(0)
     x = Tensor(np.random.default_rng(1).standard_normal((3, 2, 2, 2)))
-    fused = FusedVariance(np.ones(2), np.ones(2))
+    fused = np.ones((2, 2))
     for _ in range(20):
         out, used = augment(x, fused, FfaConfig(p=1.0), rng)
         assert used is not None
-        assert used[0].shape == (3, 2)
+        assert used.shape == (2, 3, 2)
 
 
 def test_augment_forced_eps_leaves_rng_alone():
     x = Tensor(np.random.default_rng(1).standard_normal((2, 2, 2, 2)))
-    fused = FusedVariance(np.ones(2), np.ones(2))
-    eps = (np.zeros((2, 2)), np.zeros((2, 2)))
+    fused = np.ones((2, 2))
+    eps = np.zeros((2, 2, 2))
     rng = np.random.default_rng(7)
     augment(x, fused, FfaConfig(), rng, eps=eps)
     assert rng.random() == np.random.default_rng(7).random()
@@ -220,7 +220,7 @@ def test_augment_gate_frequency():
     # 3.5-sigma band for n=30000 Bernoulli(1/2) trials
     rng = np.random.default_rng(123)
     x = Tensor(np.ones((1, 1, 1, 1)))
-    fused = FusedVariance(np.ones(1), np.ones(1))
+    fused = np.ones((2, 1))
     cfg = FfaConfig(p=0.5)
     n = 30000
     fired = sum(
@@ -235,12 +235,20 @@ def test_eps_mean_is_centered():
     assert abs(draws.mean()) < 4 / np.sqrt(12 * 10000)
 
 
+def test_eps_pair_is_two_consecutive_draws():
+    eps = draw_eps(np.random.default_rng(4), 5, 3)
+    rng = np.random.default_rng(4)
+    assert eps.shape == (2, 5, 3)
+    assert np.array_equal(eps[0], rng.standard_normal((5, 3)))
+    assert np.array_equal(eps[1], rng.standard_normal((5, 3)))
+
+
 def test_transform_gradients():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((2, 3, 3, 3))
     r = rng.standard_normal((2, 3, 3, 3))
-    fused = FusedVariance(rng.uniform(0.1, 2, 3), rng.uniform(0.1, 2, 3))
-    eps = (rng.standard_normal((2, 3)), rng.standard_normal((2, 3)))
+    fused = rng.uniform(0.1, 2, (2, 3))
+    eps = rng.standard_normal((2, 2, 3))
 
     def build(xt):
         return (ffa_transform(xt, fused, *eps) * Tensor(r)).sum()
@@ -253,14 +261,13 @@ def test_batch_statistics_shift_as_requested():
     # after the transform the per-sample stats should equal mu + eps*S
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 2, 5, 5))
-    fused = FusedVariance(np.array([0.5, 2.0]), np.array([0.1, 0.3]))
-    eps = (rng.standard_normal((4, 2)), rng.standard_normal((4, 2)))
+    fused = np.array([[0.5, 2.0], [0.1, 0.3]])
+    eps = rng.standard_normal((2, 4, 2))
     out, _ = augment(Tensor(x), fused, FfaConfig(eps_var=0.0), rng, eps=eps)
-    before = channel_stats(x, eps_var=0.0)
-    after = channel_stats(out.data, eps_var=0.0)
-    want_mu = before.mu + eps[0] * np.sqrt(fused.var_mu_hat)
-    want_sigma = before.sigma + eps[1] * np.sqrt(fused.var_sigma_hat)
-    assert np.allclose(after.mu, want_mu, atol=1e-9)
+    want_mu, want_sigma = (channel_stats(x, eps_var=0.0)
+                           + eps * np.sqrt(fused)[:, None, :])
+    after_mu, after_sigma = channel_stats(out.data, eps_var=0.0)
+    assert np.allclose(after_mu, want_mu, atol=1e-9)
     # new scale only matches when it stayed positive
     ok = want_sigma > 1e-6
-    assert np.allclose(after.sigma[ok], want_sigma[ok], atol=1e-9)
+    assert np.allclose(after_sigma[ok], want_sigma[ok], atol=1e-9)

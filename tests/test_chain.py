@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from fedfa import experiment
-from fedfa.augment import (FfaConfig, ModulationCoefficients, augment,
-                           variant_variances)
+from fedfa.augment import FfaConfig, augment, variant_variances
 from fedfa.layers import NetSpec, StageSpec, default_net_spec, init_params
 from fedfa.optim import Sgd
 from fedfa.rng import stream
@@ -85,8 +84,7 @@ def assert_chain_matches_graph(params, x, targets, hook_args=None):
     for k in want_grads:
         assert_same_bits(grads[k], want_grads[k])
     for a, b in zip(mom, want_mom):
-        assert_same_bits(a.mu_bar, b.mu_bar)
-        assert_same_bits(a.sigma_bar, b.sigma_bar)
+        assert_same_bits(a.pair, b.pair)
     # one fedprox step from either set of gradients
     anchor = {k: v + 0.01 for k, v in params.items()}
     stepped = []
@@ -111,7 +109,7 @@ def test_fedfa_batch_matches_graph(b, gates, variant):
     x, y = batch(b, seed)
     p, sites = GATES[gates]
     rng = np.random.default_rng(seed)
-    coeffs = [ModulationCoefficients(rng.uniform(0, 2, c), rng.uniform(0, 2, c))
+    coeffs = [np.stack((rng.uniform(0, 2, c), rng.uniform(0, 2, c)))
               for c in SPEC.stage_channels]
     assert_chain_matches_graph(net_params(seed), x, ((y, 1.0),),
                                (variant, p, sites, seed, coeffs))

@@ -17,8 +17,8 @@ from fedfa.stats import MomentumStats
 
 
 def _ms(mu, sigma):
-    return MomentumStats(np.asarray(mu, dtype=np.float64),
-                         np.asarray(sigma, dtype=np.float64))
+    return MomentumStats(np.stack((np.asarray(mu, dtype=np.float64),
+                                   np.asarray(sigma, dtype=np.float64))))
 
 
 # --------------------------------------------------- cross-client variance
@@ -49,6 +49,21 @@ def test_sharing_variances_matches_brute_force():
     mus = np.array([s.mu_bar for s in stats])
     want = ((mus - mus.mean(axis=0)) ** 2).mean(axis=0)
     assert np.allclose(vm, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("clients", [2, 9, 17])
+@pytest.mark.parametrize("c", [1, 3])
+def test_sharing_variances_bit_equal_to_each_statistic_alone(clients, c):
+    # statistic-major stacking keeps each statistic's client sum in the
+    # order of an unstacked [K,C] array; at C=1 a client-major stack would
+    # not (pairwise along memory vs row by row from 8 clients up)
+    rng = np.random.default_rng(clients + c)
+    stats = [_ms(rng.standard_normal(c), rng.uniform(0.5, 2, c))
+             for _ in range(clients)]
+    got = sharing_variances(stats)
+    for i, want in enumerate((np.stack([s.mu_bar for s in stats]).var(axis=0),
+                              np.stack([s.sigma_bar for s in stats]).var(axis=0))):
+        assert np.array_equal(got[i], want)
 
 
 def test_sharing_variances_empty():
@@ -165,7 +180,8 @@ def _const_train_fn(delta=0.0, loss=1.0, n=10, fail_ids=(), channels=(2,)):
     def fn(client, round_index, params, coeffs):
         if client.client_id in fail_ids:
             raise ClientTrainingError("boom")
-        momentum = [MomentumStats(np.full(c, float(client.client_id)), np.ones(c))
+        momentum = [MomentumStats(np.stack((np.full(c, float(client.client_id)),
+                                            np.ones(c))))
                     for c in channels]
         return LocalResult(params={k: v + delta for k, v in params.items()},
                            momentum=momentum,
@@ -306,9 +322,10 @@ def test_run_round_collects_client_stats_and_coeffs():
     assert set(server.client_stats) == {0, 1, 2}
     assert server.coeffs is not None and len(server.coeffs) == 1
     # mu_bar values are 0,1,2 per client: nonzero spread, weights sum to C
-    assert server.coeffs[0].gamma_mu.sum() == pytest.approx(2.0, abs=1e-12)
+    gamma_mu, gamma_sigma = server.coeffs[0]
+    assert gamma_mu.sum() == pytest.approx(2.0, abs=1e-12)
     # sigma_bar identical across clients: zero variance degenerates to uniform
-    assert np.array_equal(server.coeffs[0].gamma_sigma, np.ones(2))
+    assert np.array_equal(gamma_sigma, np.ones(2))
 
 
 def test_run_round_failure_drops_client(caplog):
@@ -390,8 +407,7 @@ def test_server_momentum_only_for_fedavgm():
 
 
 def test_recompute_coeffs_without_stats_clears():
-    from fedfa.augment import ModulationCoefficients
     server = _server(channels=(2,))
-    server.coeffs = [ModulationCoefficients.zero(2)]
+    server.coeffs = [np.zeros((2, 2))]
     recompute_coeffs(server)
     assert server.coeffs is None

@@ -4,6 +4,7 @@ import dataclasses
 import glob
 import json
 import os
+import re
 import sys
 import tracemalloc
 
@@ -508,14 +509,23 @@ def test_cli_sweep_no_match(tmp_path, capsys):
     assert "no configs match" in capsys.readouterr().err
 
 
-def test_cli_check_invariants(capsys):
-    assert main(["check", "invariants"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 6
-    assert "6/6 invariant groups passed" in out
-
-
-def test_cli_check_theory(capsys):
-    assert main(["check", "theory"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "exponent" in out
+@pytest.mark.parametrize("argv,want", [
+    (["check", "invariants"],
+     [r"PASS  additive-noise identity \(max dev \S+\)",
+      r"PASS  modulation normalization \(max dev \S+\)",
+      r"PASS  commcost \[64,192,384,256,256\] x4B == 18432",
+      r"PASS  commcost \[32,64,128,256,512\] x4B == 15872",
+      r"PASS  aggregation idempotence \(bitwise\)",
+      r"PASS  checkpoint round trip \(bitwise\)",
+      r"6/6 invariant groups passed"]),
+    (["check", "theory"],
+     [r"scale +\S+ +residual +\S+"] * 7
+     + [r"exponent \S+ PASS \(want 1\.8\.\.2\.2\)"]),
+    (["commcost", "8", "16"], [r"384"]),  # 4 vectors x 24 channels x 4 B
+], ids=["check-invariants", "check-theory", "commcost-8-16"])
+def test_cli_prints_every_result_line(argv, want, capsys):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(want)
+    for line, pattern in zip(lines, want):
+        assert re.fullmatch(pattern, line), line

@@ -10,7 +10,8 @@ from fedfa.layers import (EVAL_BLOCK_BYTES, ConvNet, NetSpec, StageSpec,
                           _col2im, _pool_forward, channel_mean_std, conv2d,
                           default_net_spec, global_avg_pool, inference_blocks,
                           infer_logits, init_params, linear, maxpool2x2,
-                          predict, relu_maxpool2x2, softmax_cross_entropy)
+                          net_forward, predict, relu_maxpool2x2,
+                          softmax_cross_entropy)
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
 
@@ -485,6 +486,28 @@ def test_convnet_partial_hooks_allowed():
     assert logits.shape == (2, 6)
     with pytest.raises(ValueError, match="3 hooks for 2 stages"):
         net.forward(Tensor(x), hooks=[None, None, None])
+
+
+def test_net_forward_rejects_more_hooks_than_stages():
+    spec = default_net_spec()
+    params = {k: p.data for k, p in init_params(spec, stream(0, "init")).items()}
+    x = np.random.default_rng(2).standard_normal((2, 3, 8, 8))
+    passthrough = lambda a: (a, None)  # noqa: E731
+    assert net_forward(spec, params, x, hooks=[None, passthrough]).shape == (2, 6)
+    with pytest.raises(ValueError, match="3 hooks for 2 stages"):
+        net_forward(spec, params, x, hooks=[None, None, passthrough])
+
+
+def test_empty_batch_is_named_in_the_error():
+    spec = default_net_spec()
+    params = init_params(spec, stream(0, "init"))
+    arrays = {k: p.data for k, p in params.items()}
+    empty = np.zeros((0, 3, 8, 8))
+    for call in (lambda: net_forward(spec, arrays, empty),
+                 lambda: predict(spec, arrays, empty),
+                 lambda: ConvNet(spec, params).predict(empty)):
+        with pytest.raises(ValueError, match="the batch is empty"):
+            call()
 
 
 def test_convnet_rejects_bad_rank():

@@ -3,29 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfa.stats import (ChannelStats, MomentumStats, batch_variances,
-                         channel_stats, momentum_update)
+from fedfa.stats import (MomentumStats, batch_variances, channel_stats,
+                         momentum_update)
+
+
+def _pair(mu, sigma):
+    """A stacked (mean, std) array from its two halves."""
+    return np.stack((np.asarray(mu, dtype=np.float64),
+                     np.asarray(sigma, dtype=np.float64)))
 
 
 def test_hand_case_1357():
     x = np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2)
-    st_ = channel_stats(x, eps_var=0.0)
-    assert st_.mu.item() == 4.0
-    assert st_.sigma.item() == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    mu, sigma = channel_stats(x, eps_var=0.0)
+    assert mu.item() == 4.0
+    assert sigma.item() == pytest.approx(np.sqrt(5.0), abs=1e-12)
 
 
 def test_constant_channel():
     x = np.full((2, 3, 4, 4), 3.0)
-    st_ = channel_stats(x)  # default eps_var
-    assert np.allclose(st_.mu, 3.0)
-    assert np.allclose(st_.sigma, np.sqrt(1e-6))
+    mu, sigma = channel_stats(x)  # default eps_var
+    assert np.allclose(mu, 3.0)
+    assert np.allclose(sigma, np.sqrt(1e-6))
 
 
 def test_single_pixel():
     x = np.arange(6.0).reshape(2, 3, 1, 1)
     st_ = channel_stats(x, eps_var=0.0)
-    assert np.array_equal(st_.mu, x[:, :, 0, 0])
-    assert np.array_equal(st_.sigma, np.zeros((2, 3)))
+    assert st_.shape == (2, 2, 3)
+    assert np.array_equal(st_[0], x[:, :, 0, 0])
+    assert np.array_equal(st_[1], np.zeros((2, 3)))
 
 
 def test_rank_check():
@@ -36,36 +43,35 @@ def test_rank_check():
 def test_batch_variance_single_sample_is_zero():
     x = np.random.default_rng(0).standard_normal((1, 3, 4, 4))
     bv = batch_variances(channel_stats(x))
-    assert np.array_equal(bv.var_mu, np.zeros(3))
-    assert np.array_equal(bv.var_sigma, np.zeros(3))
+    assert np.array_equal(bv, np.zeros((2, 3)))
 
 
 def test_batch_variance_identical_samples_zero():
     one = np.random.default_rng(1).standard_normal((1, 2, 3, 3))
     x = np.repeat(one, 4, axis=0)
     bv = batch_variances(channel_stats(x))
-    assert np.allclose(bv.var_mu, 0.0)
-    assert np.allclose(bv.var_sigma, 0.0)
+    assert bv.shape == (2, 2)
+    assert np.allclose(bv, 0.0)
 
 
 def test_batch_variance_hand_case():
     # two samples whose channel means are 1 and 3: biased variance 1.0
     x = np.stack([np.full((1, 2, 2), 1.0), np.full((1, 2, 2), 3.0)])
     bv = batch_variances(channel_stats(x, eps_var=0.0))
-    assert np.allclose(bv.var_mu, [1.0])
-    assert np.allclose(bv.var_sigma, [0.0])
+    assert np.allclose(bv, [[1.0], [0.0]])
 
 
 def test_momentum_fresh_init():
     ms = MomentumStats.fresh(5)
     assert np.array_equal(ms.mu_bar, np.zeros(5))
     assert np.array_equal(ms.sigma_bar, np.ones(5))
+    assert ms.pair.shape == (2, 5)
     assert ms.alpha == 0.99
 
 
 def test_momentum_alpha_one_keeps_state():
-    ms = MomentumStats(np.array([2.0]), np.array([3.0]), alpha=1.0)
-    stats = ChannelStats(np.array([[10.0]]), np.array([[10.0]]))
+    ms = MomentumStats(_pair([2.0], [3.0]), alpha=1.0)
+    stats = _pair([[10.0]], [[10.0]])
     out = momentum_update(ms, stats)
     assert np.array_equal(out.mu_bar, [2.0])
     assert np.array_equal(out.sigma_bar, [3.0])
@@ -73,7 +79,7 @@ def test_momentum_alpha_one_keeps_state():
 
 def test_momentum_alpha_zero_takes_batch_mean():
     ms = MomentumStats.fresh(1, alpha=0.0)
-    stats = ChannelStats(np.array([[1.0], [3.0]]), np.array([[2.0], [4.0]]))
+    stats = _pair([[1.0], [3.0]], [[2.0], [4.0]])
     out = momentum_update(ms, stats)
     assert np.array_equal(out.mu_bar, [2.0])
     assert np.array_equal(out.sigma_bar, [3.0])
@@ -81,7 +87,7 @@ def test_momentum_alpha_zero_takes_batch_mean():
 
 def test_momentum_default_step_hand_case():
     ms = MomentumStats.fresh(1)
-    stats = ChannelStats(np.array([[1.0]]), np.array([[1.0]]))
+    stats = _pair([[1.0]], [[1.0]])
     out = momentum_update(ms, stats)
     assert out.mu_bar.item() == pytest.approx(0.01, abs=1e-15)
     # sigma_bar starts at 1 and the batch mean is 1: stays put
@@ -90,14 +96,14 @@ def test_momentum_default_step_hand_case():
 
 def test_momentum_is_pure():
     ms = MomentumStats.fresh(1)
-    stats = ChannelStats(np.array([[5.0]]), np.array([[5.0]]))
+    stats = _pair([[5.0]], [[5.0]])
     momentum_update(ms, stats)
     assert np.array_equal(ms.mu_bar, [0.0])
 
 
 def test_momentum_bad_alpha():
-    ms = MomentumStats(np.zeros(1), np.ones(1), alpha=1.5)
-    stats = ChannelStats(np.array([[1.0]]), np.array([[1.0]]))
+    ms = MomentumStats(_pair([0.0], [1.0]), alpha=1.5)
+    stats = _pair([[1.0]], [[1.0]])
     with pytest.raises(ValueError, match="alpha"):
         momentum_update(ms, stats)
 
@@ -107,10 +113,10 @@ def test_momentum_bad_alpha():
        st.integers(0, 2 ** 31 - 1))
 def test_scale_equivariance(a, b, seed):
     x = np.random.default_rng(seed).standard_normal((2, 3, 4, 4))
-    base = channel_stats(x, eps_var=0.0)
-    moved = channel_stats(a * x + b, eps_var=0.0)
-    assert np.allclose(moved.mu, a * base.mu + b, atol=1e-9)
-    assert np.allclose(moved.sigma, abs(a) * base.sigma, atol=1e-9)
+    base_mu, base_sigma = channel_stats(x, eps_var=0.0)
+    mu, sigma = channel_stats(a * x + b, eps_var=0.0)
+    assert np.allclose(mu, a * base_mu + b, atol=1e-9)
+    assert np.allclose(sigma, abs(a) * base_sigma, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,17 +126,16 @@ def test_batch_variance_permutation_invariant(seed):
     x = rng.standard_normal((5, 2, 3, 3))
     bv = batch_variances(channel_stats(x))
     shuffled = batch_variances(channel_stats(x[rng.permutation(5)]))
-    assert np.allclose(bv.var_mu, shuffled.var_mu, atol=1e-12)
-    assert np.allclose(bv.var_sigma, shuffled.var_sigma, atol=1e-12)
+    assert np.allclose(bv, shuffled, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0, 1), st.integers(0, 2 ** 31 - 1))
 def test_momentum_contraction(alpha, seed):
     rng = np.random.default_rng(seed)
-    ms = MomentumStats(rng.standard_normal(3), rng.standard_normal(3), alpha)
-    stats = ChannelStats(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)))
+    ms = MomentumStats(rng.standard_normal((2, 3)), alpha)
+    stats = rng.standard_normal((2, 4, 3))
     out = momentum_update(ms, stats)
-    batch = stats.mu.mean(axis=0)
-    assert np.allclose(np.abs(out.mu_bar - batch),
-                       alpha * np.abs(ms.mu_bar - batch), atol=1e-9)
+    batch = stats.mean(axis=1)
+    assert np.allclose(np.abs(out.pair - batch),
+                       alpha * np.abs(ms.pair - batch), atol=1e-9)
