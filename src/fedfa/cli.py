@@ -1,40 +1,57 @@
 """Command line front end.
 
-Subcommands: run, sweep, check, report, commcost. The run-root directory
+Subcommands: run, sweep, compare, check, report, commcost. The run root
 comes from --run-root, falling back to $FEDFA_RUN_ROOT, then ./runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 
-from .config import ExperimentConfig
-from .experiment import resolve_run_root, run_experiment
+from .config import ALGORITHMS, ExperimentConfig
+from .experiment import leave_one_out, resolve_run_root, run_experiment
 from .federation import aggregate, comm_cost
+from .rng import stream
 from . import checkpoint
+
+
+def _last_record(run_dir: str) -> dict:
+    with open(os.path.join(run_dir, "metrics.jsonl")) as f:
+        return json.loads(f.readlines()[-1])
 
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     run_dir = run_experiment(cfg, run_root=args.run_root)
-    with open(os.path.join(run_dir, "metrics.jsonl")) as f:
-        last = json.loads(f.readlines()[-1])
+    last = _last_record(run_dir)
     print(f"{run_dir}: round {last['round']} "
           f"mean_test_acc {last['mean_test_acc']:.4f}")
     return 0
 
 
-def _run_one(item):
-    path, run_root = item
-    cfg = ExperimentConfig.from_json(path)
-    return path, run_experiment(cfg, run_root=run_root)
+def _call(thunk):
+    return thunk()
+
+
+def _run_all(thunks, workers=None) -> list:
+    """The thunks' results in order, from this process for one worker, else
+    from a process pool (default: a worker per thunk, at most cpu count)."""
+    workers = workers or min(len(thunks), os.cpu_count() or 1)
+    if workers == 1:
+        return [t() for t in thunks]
+    # spawn, not fork: fork copies a process whose BLAS threads may hold locks
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+        return list(pool.map(_call, thunks))
 
 
 def _cmd_sweep(args) -> int:
@@ -42,27 +59,100 @@ def _cmd_sweep(args) -> int:
     if not paths:
         print(f"no configs match {args.config_glob!r}", file=sys.stderr)
         return 1
-    workers = args.workers or min(len(paths), os.cpu_count() or 1)
-    items = [(p, args.run_root) for p in paths]
-    if workers == 1:
-        results = [_run_one(i) for i in items]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, items))
-    for path, run_dir in results:
+    cfgs = [ExperimentConfig.from_json(p) for p in paths]
+    first = {}
+    for path, cfg in zip(paths, cfgs):
+        other = first.setdefault(cfg.name, path)
+        if other != path:
+            print(f"{other} and {path} would both write "
+                  f"{os.path.join(resolve_run_root(args.run_root), cfg.name)}",
+                  file=sys.stderr)
+            return 1
+    run_dirs = _run_all([partial(run_experiment, c, run_root=args.run_root)
+                        for c in cfgs], args.workers)
+    for path, run_dir in zip(paths, run_dirs):
         print(f"{path} -> {run_dir}")
     return 0
 
 
-def _cmd_report(args) -> int:
+GATE_SEEDS = 5  # tests/test_acceptance.py: criteria 7 and 8 run seeds 0-4
+HELD_OUT = 3  # criterion 8's held-out client
+PAIRS = {  # name: (accuracy table, minuend, subtrahend)
+    "fedfa - fedavg": ("final_acc", "fedfa", "fedavg"),
+    "fedfa - fedfa-r": ("final_acc", "fedfa", "fedfa-r"),
+    "held-out fedfa - fedavg": ("held_out_acc", "fedfa", "fedavg"),
+}
+
+
+def paired_summary(diffs) -> dict:
+    """Per-seed differences (seed order), their mean, its percentile-
+    bootstrap 95 % CI from 10 000 resamples, and the win counts
+    (difference >= 0, as the gate counts) over seeds 0-4 and all seeds."""
+    d = np.asarray(diffs, dtype=np.float64)
+    idx = stream(0, "bootstrap").integers(0, d.size, (10_000, d.size))
+    lo, hi = np.percentile(d[idx].mean(axis=1), [2.5, 97.5])
+    return {"differences": d.tolist(), "mean": float(d.mean()),
+            "ci95": [float(lo), float(hi)],
+            "wins_seeds_0_4": int((d[:GATE_SEEDS] >= 0).sum()),
+            "wins": int((d >= 0).sum())}
+
+
+def compare(base: ExperimentConfig, seeds: int, workers=None,
+            run_root=None) -> dict:
+    """Run every algorithm on seeds 0..seeds-1 into the run root, and
+    fedavg and fedfa once more without client HELD_OUT; write the
+    accuracies and the PAIRS summaries to <run root>/compare.json."""
+    if seeds < 2:
+        raise ValueError(f"compare needs at least 2 seeds, got {seeds}")
+    root = resolve_run_root(run_root)
+    cfg = {(a, s): dataclasses.replace(base, algorithm=a, seed=s, run_name=None)
+           for a in ALGORITHMS for s in range(seeds)}
+    held = ("fedavg", "fedfa")
+    out = iter(_run_all(
+        [partial(run_experiment, c, run_root=root) for c in cfg.values()]
+        + [partial(leave_one_out, cfg[a, s], HELD_OUT)
+           for a in held for s in range(seeds)], workers))
+    acc = {"final_acc": {a: [_last_record(next(out))["mean_test_acc"]
+                             for _ in range(seeds)] for a in ALGORITHMS},
+           "held_out_acc": {a: [next(out)["held_out_acc"]
+                                for _ in range(seeds)] for a in held}}
+    result = {**acc, "rounds": base.rounds, "held_out_client": HELD_OUT,
+              "seeds": seeds, "paired": {
+                  name: paired_summary(np.subtract(acc[t][a], acc[t][b]))
+                  for name, (t, a, b) in PAIRS.items()}}
+    with open(os.path.join(root, "compare.json"), "w") as f:
+        json.dump(result, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return result
+
+
+def _cmd_compare(args) -> int:
+    result = compare(ExperimentConfig(), args.seeds, args.workers,
+                     args.run_root)
+    n = result["seeds"]
+    for name, s in result["paired"].items():
+        print(f"{name:23s}  mean {s['mean']:+.4f}  95% CI "
+              f"[{s['ci95'][0]:+.4f}, {s['ci95'][1]:+.4f}]  wins "
+              f"{s['wins_seeds_0_4']}/{min(n, GATE_SEEDS)} on seeds 0-4, "
+              f"{s['wins']}/{n} on all")
+    root = resolve_run_root(args.run_root)
+    print(os.path.join(root, "compare.json"))
+    return _print_report(root)
+
+
+def _print_report(run_dir: str) -> int:
     from .report import emit_report
 
-    csv_path, svg_path, warnings = emit_report(args.run_dir)
+    csv_path, svg_path, warnings = emit_report(run_dir)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(csv_path)
     print(svg_path)
     return 0
+
+
+def _cmd_report(args) -> int:
+    return _print_report(args.run_dir)
 
 
 def _cmd_commcost(args) -> int:
@@ -84,8 +174,6 @@ def _check_theory(seed: int) -> int:
 
 def _check_invariants(seed: int) -> int:
     from .augment import FfaConfig, augment, modulate, noise_view
-    from .rng import stream
-    from .tensor import Tensor
 
     failures = []
     total = 0
@@ -106,9 +194,9 @@ def _check_invariants(seed: int) -> int:
         fused = rng.uniform(0, 2, (2, c))
         eps = rng.standard_normal((2, b, c))
         cfg = FfaConfig(p=1.0)
-        x_hat, used = augment(Tensor(x), fused, cfg, rng, eps=eps)
-        e = noise_view(x, fused, used)
-        worst = max(worst, float(np.max(np.abs(x_hat.data - (x + e)))))
+        x_hat, _ = augment(x, fused, cfg, rng, eps=eps)
+        e = noise_view(x, fused, eps)
+        worst = max(worst, float(np.max(np.abs(x_hat - (x + e)))))
     check(f"additive-noise identity (max dev {worst:.2e})", worst < 1e-9)
 
     worst = 0.0
@@ -164,6 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel worker processes (default: one per config, "
                         "capped at cpu count)")
     p.set_defaults(fn=_cmd_sweep)
+
+    p = sub.add_parser("compare",
+                       help="every algorithm on N seeds, plus fedavg and "
+                            "fedfa without client 3: paired differences "
+                            "with bootstrap CIs in <run root>/compare.json")
+    p.add_argument("--seeds", type=int, default=20,
+                   help="seeds 0..N-1, N >= 2 (default: 20)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="parallel worker processes (default: one per run, "
+                        "capped at cpu count)")
+    p.add_argument("--run-root", default=None)
+    p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("check", help="run the numerical verification suites")
     p.add_argument("what", choices=["theory", "invariants"])

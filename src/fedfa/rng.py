@@ -19,6 +19,7 @@ _PURPOSES = {
     "ffa": 5,
     "mixup": 6,
     "noise": 7,
+    "bootstrap": 8,
 }
 
 

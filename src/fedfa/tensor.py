@@ -17,15 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_CHECK_FINITE = False
-
-
-def set_check_finite(on: bool) -> None:
-    """Enable validation that every produced value is finite (slow path)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(on)
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad over axes that were broadcast to reach ``grad.shape``."""
     if grad.shape == shape:
@@ -46,8 +37,6 @@ class Tensor:
 
     def __init__(self, data, parents=(), name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        if _CHECK_FINITE and not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in tensor {name or ''}")
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = tuple(parents)
         self._backward = None

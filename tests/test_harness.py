@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from fedfa import checkpoint, experiment, layers
-from fedfa.cli import main
-from fedfa.config import DatasetConfig, ExperimentConfig
+from fedfa.cli import compare, main, paired_summary
+from fedfa.config import ALGORITHMS, DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, evaluate, leave_one_out,
                               mixup_batch, run_experiment)
 from fedfa.federation import ClientState
@@ -504,9 +504,62 @@ def test_cli_sweep(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path / "runs")) == ["fedfa_seed0", "fedfa_seed1"]
 
 
+def test_cli_sweep_rejects_configs_sharing_a_run_dir(tmp_path, capsys):
+    # same algorithm and seed, so the same run name: one would overwrite
+    # the other
+    for name, p in (("a", 0.5), ("b", 0.25)):
+        tiny_cfg(rounds=1, p=p).to_json(tmp_path / f"{name}.json")
+    code = main(["sweep", str(tmp_path / "*.json"),
+                 "--run-root", str(tmp_path / "runs"), "--workers", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a.json") in err and str(tmp_path / "b.json") in err
+    assert not os.path.exists(tmp_path / "runs")  # rejected before any run
+
+
 def test_cli_sweep_no_match(tmp_path, capsys):
     assert main(["sweep", str(tmp_path / "nothing*.json")]) == 1
     assert "no configs match" in capsys.readouterr().err
+
+
+def test_compare_json_identical_across_reruns_and_workers(tmp_path):
+    base = tiny_cfg(clients=4, rounds=2)
+    blobs = set()
+    for run in ("a", "b"):
+        for workers in (1, 2):
+            root = tmp_path / f"{run}{workers}"
+            result = compare(base, 2, workers=workers, run_root=root)
+            blobs.add((root / "compare.json").read_bytes())
+    assert len(blobs) == 1
+    assert sorted(os.listdir(root)) == sorted(
+        ["compare.json"] + [f"{a}_seed{s}" for a in ALGORITHMS for s in (0, 1)])
+    assert json.loads(blobs.pop()) == result
+    held = leave_one_out(dataclasses.replace(base, algorithm="fedavg", seed=1), 3)
+    assert result["held_out_acc"]["fedavg"][1] == held["held_out_acc"]
+    with open(root / "fedfa_seed0" / "metrics.jsonl") as f:
+        fedfa0 = json.loads(f.readlines()[-1])["mean_test_acc"]
+    diff = result["paired"]["fedfa - fedavg"]["differences"][0]
+    assert diff == fedfa0 - result["final_acc"]["fedavg"][0]
+
+
+def test_compare_needs_two_seeds(tmp_path):
+    with pytest.raises(ValueError, match="at least 2 seeds, got 1"):
+        main(["compare", "--seeds", "1", "--run-root", str(tmp_path)])
+    assert not os.listdir(tmp_path)
+
+
+def test_paired_summary_counts_and_interval():
+    d = [0.1, -0.2, 0.0, 0.3, -0.1, 0.2, -0.3]
+    s = paired_summary(d)
+    assert s["differences"] == d
+    assert s["mean"] == pytest.approx(0.0, abs=1e-15)
+    assert (s["wins_seeds_0_4"], s["wins"]) == (3, 4)  # a tie counts as a win
+    lo, hi = s["ci95"]
+    assert lo < s["mean"] < hi and -0.3 < lo and hi < 0.3
+    assert paired_summary(d) == s  # a fixed bootstrap stream
+    same = paired_summary([0.125] * 6)
+    assert same["ci95"] == [0.125, 0.125] and same["mean"] == 0.125
+    assert (same["wins_seeds_0_4"], same["wins"]) == (5, 6)
 
 
 @pytest.mark.parametrize("argv,want", [

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfa.tensor import Tensor, set_check_finite
+from fedfa.tensor import Tensor
 
 from gradcheck import check_grads
 
@@ -169,16 +169,6 @@ def test_first_gradient_turns_negative_zero_positive():
 def test_float64_coercion():
     t = Tensor(np.array([1, 2, 3], dtype=np.int32))
     assert t.data.dtype == np.float64
-
-
-def test_check_finite_mode():
-    set_check_finite(True)
-    try:
-        x = Tensor([1.0, 0.0])
-        with np.errstate(divide="ignore"), pytest.raises(FloatingPointError):
-            _ = 1.0 / x  # 1/0 = inf
-    finally:
-        set_check_finite(False)
 
 
 @settings(max_examples=50, deadline=None)
