@@ -38,6 +38,7 @@ import tempfile
 
 import numpy as np
 
+from fedfa.allocator import pin_malloc_thresholds
 from fedfa.config import ALGORITHMS, ExperimentConfig
 from fedfa.experiment import leave_one_out, run_experiment
 
@@ -125,6 +126,7 @@ def main() -> int:
     ap.add_argument("--check", metavar="GOLDEN",
                     help="compare the default set with this file")
     args = ap.parse_args()
+    pin_malloc_thresholds()
     if args.check:
         if args.configs:
             ap.error("--check compares the default set; give no configs")

@@ -18,6 +18,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
+from .allocator import pin_malloc_thresholds
 from .config import ALGORITHMS, ExperimentConfig
 from .experiment import leave_one_out, resolve_run_root, run_experiment
 from .federation import aggregate, comm_cost
@@ -50,7 +51,8 @@ def _run_all(thunks, workers=None) -> list:
     if workers == 1:
         return [t() for t in thunks]
     # spawn, not fork: fork copies a process whose BLAS threads may hold locks
-    with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn"),
+                             initializer=pin_malloc_thresholds) as pool:
         return list(pool.map(_call, thunks))
 
 
@@ -285,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_malloc_thresholds()
     return args.fn(args)
 
 

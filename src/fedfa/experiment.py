@@ -102,7 +102,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
 
     def train_fn(client: ClientState, round_index: int,
                  params: dict[str, np.ndarray], coeffs) -> LocalResult:
-        # params is the broadcast model: read, never written (Sgd rebinds)
+        # params are read-only views of the broadcast model (Sgd rebinds)
         opt = Sgd(dict(params), lr=cfg.lr,
                   prox_mu=cfg.prox_mu if method.prox else 0.0,
                   anchor=params if method.prox else None)

@@ -7,10 +7,10 @@ cross-client statistic variances and modulation coefficients, and account
 for every byte that crossed the wire.
 
 The local-training contract is ``train_fn(client, round_index, params,
-coeffs) -> LocalResult``. ``params`` is the server's global model itself,
-not a copy: train_fn must not modify it. Everything a client keeps during
-training, its momentum feature statistics included, is train_fn's own and
-comes back in the LocalResult.
+coeffs) -> LocalResult``. ``params`` and ``coeffs`` are read-only views
+of the server's arrays, not copies: an in-place write raises. Everything
+a client keeps during training, its momentum feature statistics
+included, is train_fn's own and comes back in the LocalResult.
 
 Statistics are exchanged if and only if ``server.stat_channels`` is
 non-empty: only then are uploaded statistics stored, coefficients
@@ -168,12 +168,19 @@ def recompute_coeffs(server: ServerState) -> None:
         for k in range(len(server.stat_channels))]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def run_round(server: ServerState, clients: list[ClientState],
               round_index: int, cfg: ExperimentConfig, train_fn) -> RoundReport:
     """Execute one communication round, mutating the server state.
 
-    train_fn(client, round_index, server.params, server.coeffs) -> LocalResult
-    does the local optimization; a ClientTrainingError drops that client
+    train_fn(client, round_index, params, coeffs) -> LocalResult does the
+    local optimization on read-only views of server.params and
+    server.coeffs; a ClientTrainingError drops that client
     from the round. The report and ``server.client_stats`` name clients by
     client_id.
     """
@@ -181,20 +188,23 @@ def run_round(server: ServerState, clients: list[ClientState],
     picked = [clients[i] for i in
               select_clients(len(clients), cfg.participation, cfg.seed, round_index)]
 
-    param_bytes = len(checkpoint.encode(server.params))
+    param_bytes = checkpoint.encoded_size(server.params)
     # statistics travel as float64; each direction carries half the exchange
     stat_bytes = comm_cost(server.stat_channels, 8) // 2
     uplink = param_bytes + stat_bytes
     # coefficients go down only once the server has computed some
     downlink = param_bytes + (stat_bytes if server.coeffs is not None else 0)
 
+    params = {k: _read_only(v) for k, v in server.params.items()}
+    coeffs = (None if server.coeffs is None
+              else [_read_only(c) for c in server.coeffs])
     results: list[LocalResult] = []
     train_loss: dict[int, float] = {}
     t_train = time.perf_counter()
     for client in picked:
         cid = client.client_id
         try:
-            res = train_fn(client, round_index, server.params, server.coeffs)
+            res = train_fn(client, round_index, params, coeffs)
         except ClientTrainingError as err:
             log.warning("client %d dropped in round %d: %s", cid, round_index, err)
             continue

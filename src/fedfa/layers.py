@@ -13,12 +13,9 @@ gradients (``conv2d_*``, ``relu_maxpool2x2_*``, ``maxpool2x2_*``,
 ``ffa_forward``/``ffa_backward`` live in ``augment``). They have two
 callers:
 
-- ``net_forward`` and ``net_backward``, the one array forward and the
+- ``net_forward`` and ``net_backward``, the array forward and the
   graph-free training chain. ``experiment.make_train_fn`` trains every
-  batch through them with a tape of backward contexts; evaluation
-  (``predict``, which ``experiment.evaluate`` and ``ConvNet.predict``
-  call) runs ``net_forward`` without a tape, so it keeps nothing, on
-  cache-sized blocks of samples (``inference_blocks``). No Tensor is
+  batch through them with a tape of backward contexts. No Tensor is
   built.
 - The autodiff ops ``conv2d``, ``relu_maxpool2x2``, ``maxpool2x2``,
   ``linear`` and ``softmax_cross_entropy``, one Tensor node per pair, and
@@ -27,17 +24,26 @@ callers:
 
 Both callers run the same kernels, so the chain's loss and gradients are
 the graph's bit for bit (``net_backward`` says why the graph's gradient
-copies can be dropped), and predictions equal the argmax of the training
-forward.
+copies can be dropped).
 
-The conv and pool forward kernels work in the memory order the conv
-matmul writes, NHWC. The conv adds its bias in place along whole
-per-sample rows, the same elementwise add as a broadcast. The pool folds
-its four taps over the NHWC view, in reverse tap order so the first
-maximum wins a tie, and relu runs after the pool on the quarter-size
-array. That order is bit-identical to relu first: np.maximum returns its
-second operand on ties, so a window whose max is <= 0 gives +0.0 either
-way, and a positive max is unchanged.
+Evaluation (``predict``, which ``experiment.evaluate`` and
+``ConvNet.predict`` call) has a loop of its own, ``infer_logits``, on
+cache-sized blocks of samples (``inference_blocks``). It keeps nothing
+for a backward pass and gives the logits of ``net_forward`` bit for bit,
+so predictions equal the argmax of the training forward.
+
+The training kernels work in the memory order the conv matmul writes,
+NHWC, with im2col rows in (B, H, W) order. The conv adds its bias in
+place along whole per-sample rows, the same elementwise add as a
+broadcast. The pool folds its four taps over the NHWC view, in reverse
+tap order so the first maximum wins a tie, and relu runs after the pool
+on the quarter-size array. That order is bit-identical to relu first:
+np.maximum returns its second operand on ties, so a window whose max is
+<= 0 gives +0.0 either way, and a positive max is unchanged. The weight
+and bias gradients sum over the im2col rows in that order, so training
+keeps it. ``infer_logits`` sums nothing over rows: a stage that pools
+orders its rows by pool tap, (B, i, j, H/2, W/2), so its pool folds four
+contiguous slabs, and adds the bias after the pool.
 
 The first conv's input is the data, a constant: its backward computes no
 input gradient. Later convs scatter patch gradients back with
@@ -63,10 +69,14 @@ from .tensor import Tensor, kernel_node
 
 @functools.cache
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  padding: int) -> tuple[np.ndarray, int, int]:
-    """Flat gather index into a per-sample row of C*H*W values plus one
-    trailing zero, ordered (Ho, Wo, C, kh, kw); taps that fall in the
-    padding point at the zero. Read-only, because the cache shares it."""
+                  padding: int, nhwc: bool = False,
+                  tap_major: bool = False) -> tuple[np.ndarray, int, int]:
+    """Flat gather index into a per-sample row of C*H*W values, in (C, H, W)
+    order or with nhwc in (H, W, C) order, plus one trailing zero; taps
+    that fall in the padding point at the zero. Ordered (Ho, Wo, C, kh,
+    kw), or with tap_major (i, j, Ho/2, Wo/2, C, kh, kw): output position
+    (2p + i, 2q + j) is pool tap (i, j) of pooled position (p, q).
+    Read-only, because the cache shares it."""
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -74,13 +84,20 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
             f"conv2d: {kh}x{kw} kernel does not fit a {h}x{w} input "
             f"with padding {padding}"
         )
+    if tap_major and (ho % 2 or wo % 2):
+        raise ValueError(f"maxpool2x2: spatial dims must be even, got {ho}x{wo}")
     rows = (np.arange(ho)[:, None, None, None, None] * stride
             + np.arange(kh)[:, None] - padding)
     cols = (np.arange(wo)[:, None, None, None] * stride
             + np.arange(kw) - padding)
     chan = np.arange(c)[:, None, None]
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    idx = np.where(inside, chan * (h * w) + rows * w + cols, c * h * w).ravel()
+    src = ((rows * w + cols) * c + chan if nhwc
+           else chan * (h * w) + rows * w + cols)
+    idx = np.where(inside, src, c * h * w)
+    if tap_major:
+        idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(1, 3, 0, 2, 4)
+    idx = idx.ravel()
     idx.flags.writeable = False
     return idx, ho, wo
 
@@ -140,15 +157,21 @@ def _col2im(gcols: np.ndarray, shape: tuple[int, int, int, int], kh: int,
     return gx.transpose(0, 3, 1, 2)
 
 
-def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                  stride: int, padding: int):
-    """Returns the [B,Cout,Ho,Wo] output and the im2col matrix."""
-    b, cin = x.shape[:2]
+def _conv_shape(cin: int, weight: np.ndarray) -> tuple[int, int, int]:
+    """(Cout, kh, kw) of a conv weight that takes cin input channels."""
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ValueError(
             f"conv2d: input has {cin} channels, weight expects {cin_w}"
         )
+    return cout, kh, kw
+
+
+def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                  stride: int, padding: int):
+    """Returns the [B,Cout,Ho,Wo] output and the im2col matrix."""
+    b, cin = x.shape[:2]
+    cout, kh, kw = _conv_shape(cin, weight)
     cols, (ho, wo) = _im2col(x, kh, kw, stride, padding)
     out_flat = cols @ weight.reshape(cout, -1).T
     # the same elementwise add as broadcasting [M, Cout] + [Cout], in place
@@ -475,6 +498,16 @@ _STAGE_OPS = {
 }
 
 
+def _as_batch(x) -> np.ndarray:
+    """x as a float64 [B,C,H,W] array with B > 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 4:
+        raise ValueError(f"expected input [B,C,H,W], got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("the batch is empty")
+    return x
+
+
 def net_forward(spec: NetSpec, params: dict[str, np.ndarray], x: np.ndarray,
                 hooks=None, tape: list | None = None) -> np.ndarray:
     """The logits ``ConvNet.forward`` computes, bit for bit, on raw arrays:
@@ -486,11 +519,7 @@ def net_forward(spec: NetSpec, params: dict[str, np.ndarray], x: np.ndarray,
     the input. A list tape collects every op's backward context for
     ``net_backward``; without one nothing is kept.
     """
-    out = np.asarray(x, dtype=np.float64)
-    if out.ndim != 4:
-        raise ValueError(f"expected input [B,C,H,W], got shape {out.shape}")
-    if out.shape[0] == 0:
-        raise ValueError("net_forward: the batch is empty")
+    out = _as_batch(x)
     if hooks is not None and len(hooks) > len(spec.stages):
         raise ValueError(f"{len(hooks)} hooks for {len(spec.stages)} stages")
     for i, s in enumerate(spec.stages):
@@ -549,8 +578,44 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
 
 def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
                  x: np.ndarray) -> np.ndarray:
-    """Hook-free ``net_forward`` that keeps no backward contexts."""
-    return net_forward(spec, params, x)
+    """The logits of ``net_forward`` without hooks, bit for bit, from a loop
+    of its own that keeps nothing for a backward pass.
+
+    Each stage's output is NHWC, one row of H*W*C values per sample, and
+    the next stage gathers straight from it. A stage that pools gathers
+    its im2col rows tap-major (``_im2col_index``). The matmul computes
+    each row on its own, so every row keeps its value, and the conv output
+    is four contiguous [B, H/2*W/2*C] slabs, one per pool tap, folded in
+    reverse tap order as ``_pool_forward`` folds them.
+    The bias is added after the pool, on the quarter-size map: rounding is
+    monotone, so max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max
+    keeps its sign (fl(z + b) is -0.0 only for z = b = -0.0). Only the
+    final map goes back to (C, H, W) order, the order of the head's rows.
+    """
+    x = _as_batch(x)
+    b, c, h, w = x.shape
+    act, nhwc = x.reshape(b, c * h * w), False
+    for i, s in enumerate(spec.stages):
+        weight, bias = params[f"conv{i}.weight"], params[f"conv{i}.bias"]
+        cout, kh, kw = _conv_shape(c, weight)
+        idx, h, w = _im2col_index(c, h, w, kh, kw, s.stride, s.padding,
+                                  nhwc, s.pool)
+        rows = np.concatenate((act, np.zeros((b, 1))), axis=1)
+        cols = np.take(rows, idx, axis=1).reshape(-1, c * kh * kw)
+        act = (cols @ weight.reshape(cout, -1).T).reshape(b, -1)
+        if s.pool:
+            h, w = h // 2, w // 2
+            x11, x10, x01, x00 = act.reshape(b, 4, -1).transpose(1, 0, 2)[::-1]
+            act = np.maximum(x11, x10)
+            np.maximum(act, x01, out=act)
+            np.maximum(act, x00, out=act)
+        np.add(act, bias[np.newaxis].repeat(h * w, axis=0).ravel(), out=act)
+        if s.relu:
+            np.maximum(act, 0.0, out=act)
+        c, nhwc = cout, True
+    feats = act.reshape(b, h, w, c).transpose(0, 3, 1, 2)
+    return linear_forward(feats.reshape(b, -1), params["head.weight"],
+                          params["head.bias"])[0]
 
 
 # Inference runs on blocks of samples whose largest im2col matrix fits in
@@ -563,7 +628,7 @@ def inference_blocks(spec: NetSpec, n: int) -> list[slice]:
     """Split n samples into ceil(n / cap) blocks whose sizes differ by at
     most one, cap = max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes). Balanced
     blocks leave no tail of a few rows for BLAS's small-matrix paths; n = 0
-    gives one empty block, which ``net_forward`` rejects."""
+    gives one empty block, which ``infer_logits`` rejects."""
     cap = max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes)
     k = max(1, -(-n // cap))
     q, r = divmod(n, k)

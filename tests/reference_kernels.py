@@ -12,11 +12,12 @@ included. ``linear`` is a matmul node and a bias add node, and
 zero-fills a new gradient buffer, then adds. ``batch_grads`` is the
 training step as a graph: ``ConvNet.forward``, the loss nodes and
 ``Tensor.backward``. ``evaluate`` scores a test set in one unblocked
-``infer_logits`` call per 512 samples. ``install`` swaps all of them into
-the library, the two forward kernels, the training step and ``evaluate``
-included, so training runs on the graph and evaluation on the reference
-forward kernels without cache-sized blocks; runs with and without them
-must agree bit for bit.
+``net_forward`` call per 512 samples, so it runs the two forward kernels
+in plain row order, not ``infer_logits``'s tap-major loop. ``install``
+swaps all of them into the library, the two forward kernels, the training
+step and ``evaluate`` included, so training runs on the graph and
+evaluation on the reference forward kernels without cache-sized blocks;
+runs with and without them must agree bit for bit.
 """
 
 import importlib
@@ -138,8 +139,8 @@ def batch_grads(net_spec, params, x, targets, hooks=None):
 def evaluate(params, net_spec, x, y, chunk=512):
     hits = 0
     for start in range(0, x.shape[0], chunk):
-        pred = layers.infer_logits(net_spec, params,
-                                   x[start:start + chunk]).argmax(axis=1)
+        pred = layers.net_forward(net_spec, params,
+                                  x[start:start + chunk]).argmax(axis=1)
         hits += int((pred == y[start:start + chunk]).sum())
     return hits / x.shape[0]
 

@@ -2,6 +2,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedfa import checkpoint
 
@@ -52,6 +55,21 @@ def test_unicode_names():
     t = {"weights/émb": np.array([1.0])}
     back = checkpoint.decode(checkpoint.encode(t))
     assert np.array_equal(back["weights/émb"], [1.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    st.text(max_size=6),  # non-ASCII names take several UTF-8 bytes
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                            min_side=0, max_side=3)),
+    max_size=4))
+def test_encoded_size_is_the_encoded_length(tensors):
+    assert checkpoint.encoded_size(tensors) == len(checkpoint.encode(tensors))
+
+
+def test_encoded_size_counts_rank_zero_and_multibyte_names():
+    t = {"s": np.array(3.5), "wé/µ": np.zeros((2, 0)), "w": np.ones((2, 3)).T}
+    assert checkpoint.encoded_size(t) == len(checkpoint.encode(t)) == 128
 
 
 def test_bad_magic_rejected():

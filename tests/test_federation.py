@@ -208,6 +208,27 @@ def test_run_round_full_participation_losses():
     assert report.train_loss == {0: 1.0, 1: 2.0, 2: 3.0}
 
 
+def test_run_round_broadcasts_read_only_views():
+    server = _server()
+    server.coeffs = [np.ones((2, 2))]
+    own = [*server.params.values(), *server.coeffs]
+    written = []
+
+    def writes_in_place(client, round_index, params, coeffs):
+        for a in (*params.values(), *coeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+        written.append(client.client_id)
+        return _const_train_fn()(client, round_index, params, coeffs)
+
+    run_round(server, _clients(2), 0, CFG, writes_in_place)
+    assert written == [0, 1]
+    # the server's own arrays stay writeable and unchanged
+    assert all(a.flags.writeable for a in own)
+    assert np.array_equal(own[0], np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(own[2], np.ones((2, 2)))
+
+
 def test_run_round_names_clients_by_id():
     server = _server(channels=(2,))
     clients = [ClientState(client_id=i, data=None) for i in (0, 2, 3)]

@@ -484,6 +484,38 @@ def test_cli_commcost(capsys):
     assert capsys.readouterr().out.strip() == "15872"
 
 
+def test_malloc_thresholds_pinned_at_the_entry_points(monkeypatch, capsys):
+    import ctypes
+
+    from fedfa import allocator, cli
+
+    glibc = hasattr(ctypes.CDLL(None), "mallopt")
+    assert allocator.pin_malloc_thresholds() is glibc
+    with monkeypatch.context() as m:
+        m.setattr(allocator.ctypes, "CDLL", lambda name: object())
+        assert allocator.pin_malloc_thresholds() is False  # no mallopt: no-op
+
+    calls = []
+    monkeypatch.setattr(cli, "pin_malloc_thresholds", lambda: calls.append(1))
+    assert main(["commcost", "8"]) == 0 and calls == [1]
+
+    class Pool:  # runs the worker initializer, then maps in this process
+        def __init__(self, workers, mp_context, initializer):
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    assert cli._run_all([lambda: 1, lambda: 2], workers=2) == [1, 2]
+    assert calls == [1, 1]
+
+
 def test_cli_run_and_report(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     tiny_cfg(rounds=1).to_json(cfg_path)

@@ -9,7 +9,8 @@ from fedfa import layers
 from fedfa.layers import (EVAL_BLOCK_BYTES, ConvNet, NetSpec, StageSpec,
                           _col2im, _pool_forward, channel_mean_std, conv2d,
                           default_net_spec, global_avg_pool, inference_blocks,
-                          infer_logits, init_params, linear, maxpool2x2,
+                          infer_logits, init_params, linear,
+                          linear_forward, maxpool2x2,
                           net_forward, predict, relu_maxpool2x2,
                           softmax_cross_entropy)
 from fedfa.rng import stream
@@ -304,11 +305,109 @@ def test_infer_logits_bit_identical_to_reference_kernels(spec, monkeypatch):
     got = infer_logits(spec, params, x)
     with monkeypatch.context() as m:
         install_reference_kernels(m)
-        want = infer_logits(spec, params, x)
+        want = net_forward(spec, params, x)
         graph, _ = ConvNet(spec, {k: Tensor(a) for k, a in params.items()}
                            ).forward(Tensor(x))
     assert_bits_equal(got, want)
     assert_bits_equal(got, graph.data)
+
+
+def head_inputs(monkeypatch, forward):
+    """forward()'s result and the feature rows it hands the head."""
+    seen = []
+
+    def recorded(x, weight, bias):
+        seen.append(x.copy())
+        return linear_forward(x, weight, bias)
+
+    with monkeypatch.context() as m:
+        m.setattr(layers, "linear_forward", recorded)
+        out = forward()
+    (feats,) = seen
+    return out, feats
+
+
+STAGE_OPS = [(True, True), (False, True), (True, False), (False, False)]
+
+
+@pytest.mark.parametrize("spec", [
+    *(NetSpec(stages=(StageSpec(3, 4, relu=r0, pool=p0),
+                      StageSpec(4, 5, relu=r1, pool=p1)),
+              image_size=8, classes=5)
+      for r0, p0 in STAGE_OPS for r1, p1 in STAGE_OPS),
+    NetSpec(stages=(StageSpec(3, 4, ksize=5, padding=2),
+                    StageSpec(4, 6, ksize=1, padding=0)),
+            image_size=8, classes=5),
+    NetSpec(stages=(StageSpec(3, 4, stride=2, padding=0),
+                    StageSpec(4, 5, ksize=1, padding=0, pool=False)),
+            image_size=9, classes=5),
+    NetSpec(stages=(StageSpec(3, 4, ksize=5, stride=2, padding=0),
+                    StageSpec(4, 5, relu=False)),
+            image_size=19, classes=5),
+], ids=[*(f"relu{r0:d}pool{p0:d}-relu{r1:d}pool{p1:d}"
+          for r0, p0 in STAGE_OPS for r1, p1 in STAGE_OPS),
+        "k5pad2-k1pad0", "stride2pad0-k1", "k5stride2pad0-k3"])
+@pytest.mark.parametrize("batch", [1, 17, 151, 152])
+def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
+                                                             monkeypatch):
+    rng = np.random.default_rng(batch)
+    params = {k: p.data for k, p in init_params(spec, stream(42, "init")).items()}
+    for k in params:
+        if k.endswith("bias"):
+            params[k] = signed_zero_heavy(rng, params[k].shape)
+    x = signed_zero_heavy(rng, (batch, 3, spec.image_size, spec.image_size))
+    tparams = {k: Tensor(a) for k, a in params.items()}
+    got = head_inputs(monkeypatch, lambda: infer_logits(spec, params, x))
+    for want in (head_inputs(monkeypatch, lambda: net_forward(spec, params, x)),
+                 head_inputs(monkeypatch, lambda: ConvNet(spec, tparams)
+                             .forward(Tensor(x))[0].data)):
+        assert_bits_equal(got[0], want[0])
+        assert_bits_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_infer_logits_bias_after_pool_keeps_ties_and_zero_signs(relu,
+                                                                monkeypatch):
+    # a 1x1 conv of weight 1, so before its bias the conv output is the
+    # input (with -0.0 read as +0.0, as BLAS sums from +0.0): windows of
+    # tiny distinct values tie only once a bias of +-1 is added, and zero
+    # maxima meet zero biases of both signs
+    spec = NetSpec(stages=(StageSpec(1, 1, ksize=1, padding=0, relu=relu),),
+                   image_size=16, classes=3)
+    rng = np.random.default_rng(43)
+    x = rng.choice([-0.0, 0.0, 1e-17, 2e-17, -1e-17, -1.0, 1.0],
+                   size=(40, 1, 16, 16))
+    x[0, 0, :2, :2] = [[1e-17, 2e-17], [-1e-17, 0.0]]
+    for bias in (1.0, -1.0, 0.0, -0.0):
+        params = {"conv0.weight": np.ones((1, 1, 1, 1)),
+                  "conv0.bias": np.array([bias]),
+                  "head.weight": rng.standard_normal((64, 3)),
+                  "head.bias": np.zeros(3)}
+        got = head_inputs(monkeypatch, lambda: infer_logits(spec, params, x))
+        want = head_inputs(monkeypatch, lambda: net_forward(spec, params, x))
+        assert_bits_equal(got[0], want[0])
+        assert_bits_equal(got[1], want[1])
+    # some windows' taps differ before the bias and all tie after it
+    win = x.reshape(40, 8, 2, 8, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4)
+    assert ((win + 1.0 == (win + 1.0).max(axis=1, keepdims=True)).all(axis=1)
+            & (win != win.max(axis=1, keepdims=True)).any(axis=1)).any()
+
+
+def test_infer_logits_rejects_what_net_forward_rejects():
+    odd = NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 5, ksize=2, padding=0)),
+                  image_size=8, classes=3)  # 8 -> pool 4 -> 3, odd
+    too_big = NetSpec(stages=(StageSpec(3, 4, ksize=5, padding=0),),
+                      image_size=8, classes=3)  # run on 4x4 inputs
+    x = np.zeros((2, 3, 8, 8))
+    for spec, xs, message in ((odd, x, "spatial dims must be even, got 3x3"),
+                              (too_big, x[..., :4, :4], "does not fit"),
+                              (default_net_spec(), x[:, :2], "2 channels"),
+                              (default_net_spec(), x[:0], "the batch is empty"),
+                              (default_net_spec(), x[0], r"\[B,C,H,W\]")):
+        params = {k: p.data for k, p in init_params(spec, stream(0, "init")).items()}
+        for forward in (net_forward, infer_logits):
+            with pytest.raises(ValueError, match=message):
+                forward(spec, params, xs)
 
 
 def test_conv_pool_graph_is_freed_without_the_cycle_collector():
