@@ -102,7 +102,7 @@ def make_feature_shift(base, m: int, shift_strength: float, seed: int,
         x = a[None, :, None, None] * x + b[None, :, None, None]
         shifts.append({"scale": a.tolist(), "offset": b.tolist()})
         clients.append(_split(x, y, train_per_client))
-    k = int(classes) if classes is not None else int(max(c.y_train.max() for c in clients)) + 1
+    k = _class_count(classes, np.concatenate([c.y_train for c in clients]))
     return FederatedDataset(
         clients=clients, classes=k,
         metadata={"kind": "feature_shift", "seed": seed,
@@ -128,15 +128,17 @@ def _partition_to_dataset(x, y, assignment: list[np.ndarray], classes: int,
 
 def dirichlet_partition(x: np.ndarray, y: np.ndarray, m: int,
                         concentration: float, seed: int,
-                        test_fraction: float = 0.25) -> FederatedDataset:
+                        test_fraction: float = 0.25,
+                        classes: int | None = None) -> FederatedDataset:
     """Label-skewed split: per-class client proportions drawn from a
-    symmetric Dirichlet. Degenerate draws (an empty client) are resampled."""
+    symmetric Dirichlet. Degenerate draws (an empty client) are resampled.
+    classes defaults to the largest label drawn plus one."""
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     n = y.shape[0]
     if n < m:
         raise ValueError(f"{n} samples cannot cover {m} clients")
-    classes = int(y.max()) + 1
+    classes = _class_count(classes, y)
     rng = stream(seed, "data", 7)
     for _attempt in range(100):
         buckets: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -159,8 +161,10 @@ def dirichlet_partition(x: np.ndarray, y: np.ndarray, m: int,
 
 
 def size_skew(x: np.ndarray, y: np.ndarray, m: int, ratio: float, seed: int,
-              test_fraction: float = 0.25) -> FederatedDataset:
-    """Geometric size progression across clients with max/min == ratio."""
+              test_fraction: float = 0.25,
+              classes: int | None = None) -> FederatedDataset:
+    """Geometric size progression across clients with max/min == ratio.
+    classes defaults to the largest label drawn plus one."""
     if ratio < 1:
         raise ValueError("ratio must be >= 1")
     n = y.shape[0]
@@ -169,7 +173,7 @@ def size_skew(x: np.ndarray, y: np.ndarray, m: int, ratio: float, seed: int,
     counts = _largest_remainder(n * weights / weights.sum())
     if min(counts) < 2:
         raise ValueError("smallest client would be empty; lower ratio or add data")
-    classes = int(y.max()) + 1
+    classes = _class_count(classes, y)
     rng = stream(seed, "data", 8)
     order = rng.permutation(n)
     assignment = []
@@ -181,6 +185,12 @@ def size_skew(x: np.ndarray, y: np.ndarray, m: int, ratio: float, seed: int,
         x, y, assignment, classes, test_fraction, seed,
         {"kind": "size_skew", "seed": seed, "ratio": ratio},
     )
+
+
+def _class_count(classes: int | None, y: np.ndarray) -> int:
+    """classes, or without it the largest label in y plus one, which
+    undercounts when a small draw misses the top classes."""
+    return int(classes) if classes is not None else int(y.max()) + 1
 
 
 def _largest_remainder(quotas: np.ndarray) -> list[int]:

@@ -41,8 +41,9 @@ def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDa
     x, y = base(n, stream(seed, "data", 99))
     if dcfg.kind == "dirichlet":
         return datamod.dirichlet_partition(x, y, m, dcfg.concentration, seed,
-                                           dcfg.test_fraction)
-    return datamod.size_skew(x, y, m, dcfg.size_ratio, seed, dcfg.test_fraction)
+                                           dcfg.test_fraction, dcfg.classes)
+    return datamod.size_skew(x, y, m, dcfg.size_ratio, seed, dcfg.test_fraction,
+                             dcfg.classes)
 
 
 def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,

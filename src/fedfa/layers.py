@@ -28,7 +28,7 @@ copies can be dropped).
 
 Evaluation (``predict``, which ``experiment.evaluate`` and
 ``ConvNet.predict`` call) has a loop of its own, ``infer_logits``, on
-cache-sized blocks of samples (``inference_blocks``). It keeps nothing
+blocks of a few dozen samples (``inference_blocks``). It keeps nothing
 for a backward pass and gives the logits of ``net_forward`` bit for bit,
 so predictions equal the argmax of the training forward.
 
@@ -41,9 +41,12 @@ on the quarter-size array. That order is bit-identical to relu first:
 np.maximum returns its second operand on ties, so a window whose max is
 <= 0 gives +0.0 either way, and a positive max is unchanged. The weight
 and bias gradients sum over the im2col rows in that order, so training
-keeps it. ``infer_logits`` sums nothing over rows: a stage that pools
-orders its rows by pool tap, (B, i, j, H/2, W/2), so its pool folds four
-contiguous slabs, and adds the bias after the pool.
+keeps it. ``infer_logits`` sums nothing over rows, so it keeps each
+activation feature-major instead: one row of B samples per (position,
+channel) feature, which its im2col gather copies whole. Its conv rows
+come in (position, sample) order, a pooling stage's positions ordered by
+pool tap, (i, j, H/2, W/2), so the pool folds four contiguous slabs; the
+bias is added after the pool.
 
 The first conv's input is the data, a constant: its backward computes no
 input gradient. Later convs scatter patch gradients back with
@@ -69,14 +72,15 @@ from .tensor import Tensor, kernel_node
 
 @functools.cache
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  padding: int, nhwc: bool = False,
-                  tap_major: bool = False) -> tuple[np.ndarray, int, int]:
-    """Flat gather index into a per-sample row of C*H*W values, in (C, H, W)
-    order or with nhwc in (H, W, C) order, plus one trailing zero; taps
-    that fall in the padding point at the zero. Ordered (Ho, Wo, C, kh,
-    kw), or with tap_major (i, j, Ho/2, Wo/2, C, kh, kw): output position
-    (2p + i, 2q + j) is pool tap (i, j) of pooled position (p, q).
-    Read-only, because the cache shares it."""
+                  padding: int, nhwc: bool = False, tap_major: bool = False,
+                  k_major: bool = False) -> tuple[np.ndarray, int, int]:
+    """Flat gather index into C*H*W features, in (C, H, W) order or with
+    nhwc in (H, W, C) order, plus one trailing zero; taps that fall in the
+    padding point at the zero. Ordered (Ho, Wo, C, kh, kw), or with
+    tap_major (i, j, Ho/2, Wo/2, C, kh, kw): output position (2p + i,
+    2q + j) is pool tap (i, j) of pooled position (p, q). k_major moves
+    the (C, kh, kw) axes to the front, the order of a transposed im2col
+    matrix. Read-only, because the cache shares it."""
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -97,6 +101,8 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     idx = np.where(inside, src, c * h * w)
     if tap_major:
         idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(1, 3, 0, 2, 4)
+    if k_major:
+        idx = idx.reshape(-1, c * kh * kw).T
     idx = idx.ravel()
     idx.flags.writeable = False
     return idx, ho, wo
@@ -576,52 +582,82 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
     return grads
 
 
+# infer_logits hands BLAS the transpose of a C-ordered im2col matrix where
+# net_forward hands it the C-ordered matrix. Both calls sum every output's
+# dot product in the same order unless the library sends one of them to
+# another kernel. A sweep of both over K = C*kh*kw, Cout and M rows
+# (scipy-openblas 0.3.31, SkylakeX, one thread) found two such regimes:
+# numpy runs a Cout = 1 matmul through gemv, whose two forms sum
+# differently (every M >= 2), and OpenBLAS runs the C-ordered call through
+# its small-matrix kernel when K >= 32 and M*Cout <= 1200. In both,
+# infer_logits copies the matrix to C order and makes net_forward's own
+# call; past Cout = 1 the copy holds at most a few thousand values, so it
+# is made for every K.
+_SMALL_GEMM = 1200
+
+
 def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
                  x: np.ndarray) -> np.ndarray:
     """The logits of ``net_forward`` without hooks, bit for bit, from a loop
     of its own that keeps nothing for a backward pass.
 
-    Each stage's output is NHWC, one row of H*W*C values per sample, and
-    the next stage gathers straight from it. A stage that pools gathers
-    its im2col rows tap-major (``_im2col_index``). The matmul computes
-    each row on its own, so every row keeps its value, and the conv output
-    is four contiguous [B, H/2*W/2*C] slabs, one per pool tap, folded in
-    reverse tap order as ``_pool_forward`` folds them.
-    The bias is added after the pool, on the quarter-size map: rounding is
-    monotone, so max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max
-    keeps its sign (fl(z + b) is -0.0 only for z = b = -0.0). Only the
-    final map goes back to (C, H, W) order, the order of the head's rows.
+    Each stage reads a feature-major array: one row of B samples per input
+    feature, a (position, channel) pair, plus a zero row that padding taps
+    point at. Its K-major gather index (``_im2col_index``) makes
+    ``np.take`` copy whole rows of B values, into the transposed im2col
+    matrix [C*kh*kw, positions*B]. The matmul multiplies its transpose, a
+    view, so BLAS computes each output row of ``net_forward``'s matrix on
+    its own, in the same order (``_SMALL_GEMM`` has the exceptions), and
+    every row keeps its value; the rows come in (position, sample) order.
+    A stage that pools orders its positions tap-major, so its output is
+    four contiguous slabs, one per pool tap, folded in reverse tap order
+    as ``_pool_forward`` folds them. The bias is added after the pool, on
+    the quarter-size map: rounding is monotone, so max_t fl(z_t + b) =
+    fl(max_t z_t + b), and a zero max keeps its sign (fl(z + b) is -0.0
+    only for z = b = -0.0). Then relu, and the [positions, B, C] map is
+    transposed into the next stage's feature rows, or for the head into
+    C-ordered [B, C*H*W] rows, the operand ``net_forward`` gives it.
     """
     x = _as_batch(x)
     b, c, h, w = x.shape
-    act, nhwc = x.reshape(b, c * h * w), False
+    feats, nhwc = x.reshape(b, -1).T, False
     for i, s in enumerate(spec.stages):
         weight, bias = params[f"conv{i}.weight"], params[f"conv{i}.bias"]
         cout, kh, kw = _conv_shape(c, weight)
         idx, h, w = _im2col_index(c, h, w, kh, kw, s.stride, s.padding,
-                                  nhwc, s.pool)
-        rows = np.concatenate((act, np.zeros((b, 1))), axis=1)
-        cols = np.take(rows, idx, axis=1).reshape(-1, c * kh * kw)
-        act = (cols @ weight.reshape(cout, -1).T).reshape(b, -1)
+                                  nhwc, s.pool, k_major=True)
+        # the stage's input: its feature rows, then the padding's zero row
+        rows = np.empty((feats.size // b + 1, b))
+        rows[:-1].reshape(feats.shape)[...] = feats
+        rows[-1] = 0.0
+        cols = np.take(rows, idx, axis=0).reshape(c * kh * kw, -1).T
+        if cout == 1 or cols.shape[0] * cout <= _SMALL_GEMM:
+            cols = np.ascontiguousarray(cols)
+        act = cols @ weight.reshape(cout, -1).T
         if s.pool:
             h, w = h // 2, w // 2
-            x11, x10, x01, x00 = act.reshape(b, 4, -1).transpose(1, 0, 2)[::-1]
+            x11, x10, x01, x00 = act.reshape(4, -1, cout)[::-1]
             act = np.maximum(x11, x10)
             np.maximum(act, x01, out=act)
             np.maximum(act, x00, out=act)
-        np.add(act, bias[np.newaxis].repeat(h * w, axis=0).ravel(), out=act)
+        act = act.reshape(h * w, b, cout)
+        np.add(act, bias, out=act)
         if s.relu:
             np.maximum(act, 0.0, out=act)
-        c, nhwc = cout, True
-    feats = act.reshape(b, h, w, c).transpose(0, 3, 1, 2)
-    return linear_forward(feats.reshape(b, -1), params["head.weight"],
-                          params["head.bias"])[0]
+        feats, c, nhwc = act.transpose(0, 2, 1), cout, True
+    # C order: at C = 1 the reshape would be an F-ordered view
+    head_rows = np.ascontiguousarray(feats.transpose(2, 1, 0)).reshape(b, -1)
+    return linear_forward(head_rows, params["head.weight"], params["head.bias"])[0]
 
 
 # Inference runs on blocks of samples whose largest im2col matrix fits in
-# this many bytes, one core's L2 cache: a bigger block only adds scratch
-# memory and cache misses (Goto & van de Geijn, ACM TOMS 2008).
-EVAL_BLOCK_BYTES = 2 << 20
+# this many bytes. A sweep of ``predict`` on 128 and 512 samples at 8x8 and
+# 16x16 (one SkylakeX core, one OpenBLAS thread, 60 interleaved repeats)
+# is flat within noise from 448 KiB to 768 KiB. Smaller blocks pay numpy's
+# per-call and per-row costs more often: at 256 KiB a sample takes 15-20 %
+# longer. Larger ones lose the gathered matrix and BLAS's packed copy of it
+# from cache: 1 MiB takes up to 27 % longer at 8x8, 2 MiB 22-58 % longer.
+EVAL_BLOCK_BYTES = 512 << 10
 
 
 def inference_blocks(spec: NetSpec, n: int) -> list[slice]:
@@ -641,6 +677,7 @@ def predict(spec: NetSpec, params: dict[str, np.ndarray],
     """Predicted class per sample: the argmax of ``infer_logits``, one
     ``inference_blocks`` block at a time. A sample's logits do not depend
     on the other samples of its block, so the blocks change no prediction."""
+    x = _as_batch(x)
     return np.concatenate([infer_logits(spec, params, x[blk]).argmax(axis=1)
                            for blk in inference_blocks(spec, x.shape[0])])
 

@@ -71,9 +71,9 @@ def test_runs_byte_identical_to_reference_kernels(config, changes, tmp_path,
 
 
 def test_blocked_evaluation_byte_identical_to_one_chunk(tmp_path, monkeypatch):
-    # 512 test samples per client: production scores them in 4 blocks of
-    # 128, the reference in one call; the shipped configs hold 128 per
-    # client, one block either way
+    # 512 test samples per client: production scores them in 14 blocks of
+    # 36 or 37, the reference in one call; the shipped configs hold 128 per
+    # client, 4 blocks of 32
     base = ExperimentConfig.from_json(os.path.join(CONFIG_DIR, "fedavg.json"))
     cfg = dataclasses.replace(
         base, clients=8, rounds=2,

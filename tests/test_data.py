@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fedfa.config import DatasetConfig
 from fedfa.data import (TaskSpec, dirichlet_partition, make_base_sampler,
                         make_feature_shift, size_skew, _largest_remainder)
+from fedfa.experiment import build_dataset
 from fedfa.rng import stream
 
 SPEC = TaskSpec(classes=4, image_size=6, channels=2, noise=0.2)
@@ -169,6 +171,19 @@ def test_size_skew_validation():
         size_skew(x, y, 2, ratio=0.5, seed=0)
     with pytest.raises(ValueError, match="smallest client"):
         size_skew(x, y, 4, ratio=1000.0, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "size_skew"])
+def test_partitions_keep_the_configured_class_count(kind):
+    # at seed 1 the 8 samples of 2 clients hold no label 6 or 7: counted
+    # from the labels, the task (and so the head) would have 6 classes
+    cfg = DatasetConfig(kind=kind, classes=8, train_per_client=3,
+                        test_per_client=1, size_ratio=1.0)
+    ds = build_dataset(cfg, 2, seed=1)
+    labels = np.concatenate([np.concatenate((c.y_train, c.y_test))
+                             for c in ds.clients])
+    assert labels.max() == 5
+    assert ds.classes == 8
 
 
 def test_largest_remainder_hand_cases():

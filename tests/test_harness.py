@@ -376,7 +376,7 @@ def test_evaluate_rejects_an_empty_test_set():
 
 def test_evaluate_working_set_stays_cache_sized():
     # one unblocked call on 512 samples peaks near 15 MiB, mostly its
-    # 7 MiB stage-0 im2col matrix; 4 blocks of 128 stay under 4 MiB
+    # 7 MiB stage-0 im2col matrix; blocks of 36 or 37 peak near 1 MiB
     spec = default_net_spec(channels=3, image_size=8, classes=6)
     params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
     x = np.random.default_rng(0).standard_normal((512, 3, 8, 8))
