@@ -1,8 +1,9 @@
 """Fingerprint the outputs of every shipped config and every algorithm.
 
 Runs each config (default: configs/*.json, plus configs/fedfa.json with
-``algorithm`` replaced by each algorithm no shipped config uses) in a
-temporary run root and prints one line per run with the sha256 of its
+``algorithm`` replaced by each algorithm no shipped config uses, and
+configs/fedfa.json on a ``size_skew`` dataset, the one dataset kind no
+shipped config builds) in a temporary run root and prints one line per run with the sha256 of its
 metrics.jsonl and model.bin. The default set ends with one leave-one-out
 run of configs/fedfa.json (held-out client 1, participation 0.75), which
 trains the non-contiguous client ids 0, 2, 3; its line hashes
@@ -39,7 +40,7 @@ import tempfile
 import numpy as np
 
 from fedfa.allocator import pin_malloc_thresholds
-from fedfa.config import ALGORITHMS, ExperimentConfig
+from fedfa.config import ALGORITHMS, DATASET_KINDS, ExperimentConfig
 from fedfa.experiment import leave_one_out, run_experiment
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -78,6 +79,10 @@ def hash_lines(configs):
         covered = {cfg.algorithm for _, cfg in runs}
         runs += [(f"fedfa[algorithm={a}]", dataclasses.replace(base, algorithm=a))
                  for a in ALGORITHMS if a not in covered]
+        kinds = {cfg.dataset.kind for _, cfg in runs}
+        runs += [(f"fedfa[dataset.kind={k}]",
+                  dataclasses.replace(base, dataset=dataclasses.replace(base.dataset, kind=k)))
+                 for k in DATASET_KINDS if k not in kinds]
 
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, cfg) in enumerate(runs):
