@@ -5,6 +5,16 @@ smooth template (a Gaussian bump and a sinusoidal texture per channel) and
 samples are noisy copies of it. Heterogeneity is then injected one axis at
 a time: per-client channel affine shifts, Dirichlet label skew, or
 geometric data-size skew.
+
+Datasets are built label-first, in place. The sampler draws a block's
+labels, then fills its features straight into the rows that hold them.
+Feature shift fills and shifts each client's rows of one client-major
+array. The two partitions decide every client's rows, shuffle included,
+from the pool's labels alone; the pool's features are then drawn in
+chunks of ``FILL_CHUNK_BYTES`` and scattered into one client-major array.
+Every ``ClientData`` is a view of that array, so a dataset costs its own
+bytes plus one chunk, and the draws, hence every feature, are those of
+sampling the whole pool at once and copying each client out of it.
 """
 
 from __future__ import annotations
@@ -57,18 +67,65 @@ def class_templates(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
     return templates
 
 
-def make_base_sampler(spec: TaskSpec, seed: int):
-    """Returns sample(n, rng) -> (x [n,C,H,W], y [n]) for the seeded task."""
-    templates = class_templates(spec, stream(seed, "data", 0))
+# Rows per step of the feature fill are sized by this many bytes of
+# features: the template gather of add_templates and the pool chunk of
+# partition_dataset are each at most one such chunk, so building a dataset
+# needs its own bytes plus one chunk (and index arrays).
+FILL_CHUNK_BYTES = 64 * 1024
 
-    def sample(n: int, rng: np.random.Generator):
-        y = rng.integers(0, spec.classes, size=n)
-        x = templates[y] + spec.noise * rng.standard_normal(
-            (n, spec.channels, spec.image_size, spec.image_size)
-        )
+
+@dataclass(frozen=True, eq=False)
+class BaseSampler:
+    """The seeded task: labels uniform over the classes, features
+    ``template[y] + noise * standard_normal``.
+
+    Sampling is two steps, so callers can decide where each row goes
+    before any feature exists: ``labels`` draws the labels, then ``fill``
+    draws the noise straight into the caller's rows, scales it in place and
+    adds each row's template. IEEE + and * commute, so the result is bit
+    for bit ``templates[y] + noise * standard_normal(shape)``.
+    """
+
+    spec: TaskSpec
+    templates: np.ndarray
+
+    def labels(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.integers(0, self.spec.classes, size=n)
+
+    def empty(self, n: int) -> np.ndarray:
+        s = self.spec
+        return np.empty((n, s.channels, s.image_size, s.image_size))
+
+    def chunk_rows(self) -> int:
+        return max(1, FILL_CHUNK_BYTES // self.templates[0].nbytes)
+
+    def noise(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        """Scaled standard normals into the C-contiguous rows of out."""
+        rng.standard_normal(out=out)
+        out *= self.spec.noise
+
+    def add_templates(self, out: np.ndarray, y: np.ndarray) -> None:
+        """out[i] += templates[y[i]], one chunk of rows at a time."""
+        step = self.chunk_rows()
+        for start in range(0, y.size, step):
+            rows = out[start:start + step]
+            np.add(rows, self.templates[y[start:start + step]], out=rows)
+
+    def fill(self, out: np.ndarray, y: np.ndarray, rng: np.random.Generator) -> None:
+        """The features of labels y, written into out [len(y),C,H,W]."""
+        self.noise(out, rng)
+        self.add_templates(out, y)
+
+    def __call__(self, n: int, rng: np.random.Generator):
+        """(x [n,C,H,W], y [n]): labels, then features, from one stream."""
+        y = self.labels(n, rng)
+        x = self.empty(n)
+        self.fill(x, y, rng)
         return x, y
 
-    return sample
+
+def make_base_sampler(spec: TaskSpec, seed: int) -> BaseSampler:
+    return BaseSampler(spec, class_templates(spec, stream(seed, "data", 0)))
 
 
 def _split(x: np.ndarray, y: np.ndarray, n_train: int) -> ClientData:
@@ -78,30 +135,36 @@ def _split(x: np.ndarray, y: np.ndarray, n_train: int) -> ClientData:
     )
 
 
-def make_feature_shift(base, m: int, shift_strength: float, seed: int,
+def make_feature_shift(base: BaseSampler, m: int, shift_strength: float, seed: int,
                        train_per_client: int = 128,
                        test_per_client: int = 64,
                        classes: int | None = None) -> FederatedDataset:
     """Clients draw i.i.d. from base, then apply a per-client channel affine.
 
     Channel c of client m becomes a[c]*x + b[c] with a in [1-s, 1+s] and
-    b in [-s, s]. Labels are untouched.
+    b in [-s, s]. Labels are untouched. Every client's rows are filled and
+    shifted in place in one client-major array.
     """
     if m < 2:
         raise ValueError("need at least 2 clients")
     if shift_strength < 0:
         raise ValueError("shift_strength must be nonnegative")
     n = train_per_client + test_per_client
+    x = base.empty(m * n)
     clients = []
     shifts = []
     for i in range(m):
-        x, y = base(n, stream(seed, "data", i + 1))
+        rows = x[i * n:(i + 1) * n]
+        rng = stream(seed, "data", i + 1)
+        y = base.labels(n, rng)
+        base.fill(rows, y, rng)
         rs = stream(seed, "data", i + 1, 1)
-        a = rs.uniform(1.0 - shift_strength, 1.0 + shift_strength, size=x.shape[1])
-        b = rs.uniform(-shift_strength, shift_strength, size=x.shape[1])
-        x = a[None, :, None, None] * x + b[None, :, None, None]
+        a = rs.uniform(1.0 - shift_strength, 1.0 + shift_strength, size=rows.shape[1])
+        b = rs.uniform(-shift_strength, shift_strength, size=rows.shape[1])
+        rows *= a[None, :, None, None]
+        rows += b[None, :, None, None]
         shifts.append({"scale": a.tolist(), "offset": b.tolist()})
-        clients.append(_split(x, y, train_per_client))
+        clients.append(_split(rows, y, train_per_client))
     k = _class_count(classes, np.concatenate([c.y_train for c in clients]))
     return FederatedDataset(
         clients=clients, classes=k,
@@ -110,26 +173,72 @@ def make_feature_shift(base, m: int, shift_strength: float, seed: int,
     )
 
 
-def _partition_to_dataset(x, y, assignment: list[np.ndarray], classes: int,
-                          test_fraction: float, seed: int, meta: dict) -> FederatedDataset:
-    clients = []
+@dataclass(frozen=True)
+class Partition:
+    """Which pool rows each client holds, decided from the labels alone.
+
+    rows[i] lists client i's pool rows in its shuffled order, its n_train[i]
+    training rows first; together the rows cover the pool once.
+    """
+
+    rows: list[np.ndarray]
+    n_train: list[int]
+    classes: int
+    metadata: dict
+
+
+def _partition(assignment: list[np.ndarray], classes: int, test_fraction: float,
+               seed: int, meta: dict) -> Partition:
+    rows, n_train = [], []
     for i, idx in enumerate(assignment):
         rng = stream(seed, "shuffle", 10_000 + i)
-        idx = idx[rng.permutation(idx.size)]
+        rows.append(idx[rng.permutation(idx.size)])
         n_test = max(1, int(round(test_fraction * idx.size)))
-        n_train = idx.size - n_test
-        if n_train < 1:
+        n_train.append(idx.size - n_test)
+        if n_train[-1] < 1:
             raise ValueError(f"client {i} would have no training data")
-        clients.append(_split(x[idx], y[idx], n_train))
     meta = dict(meta)
     meta["sizes"] = [int(a.size) for a in assignment]
-    return FederatedDataset(clients=clients, classes=classes, metadata=meta)
+    return Partition(rows=rows, n_train=n_train, classes=classes, metadata=meta)
 
 
-def dirichlet_partition(x: np.ndarray, y: np.ndarray, m: int,
-                        concentration: float, seed: int,
+def partition_dataset(base: BaseSampler, y: np.ndarray, part: Partition,
+                      rng: np.random.Generator) -> FederatedDataset:
+    """The clients of part, features drawn after the labels y from rng.
+
+    The pool's noise is drawn in pool order, one chunk of rows at a time,
+    and scattered straight into one client-major array; the templates are
+    added there. rng's draws, and so every feature, are those of
+    ``base(len(y), rng)`` after its labels, indexed by part.rows.
+    """
+    order = np.concatenate(part.rows)
+    if order.size != y.size:
+        raise ValueError(f"partition holds {order.size} rows of a {y.size}-row pool")
+    dest = np.empty_like(order)
+    dest[order] = np.arange(order.size)
+    x = base.empty(order.size)
+    step = base.chunk_rows()
+    buf = base.empty(min(step, order.size))
+    for start in range(0, order.size, step):
+        chunk = buf[:min(step, order.size - start)]
+        base.noise(chunk, rng)
+        x[dest[start:start + chunk.shape[0]]] = chunk
+    del buf
+    labels = y[order]
+    base.add_templates(x, labels)
+    clients = []
+    start = 0
+    for idx, n_train in zip(part.rows, part.n_train):
+        stop = start + idx.size
+        clients.append(_split(x[start:stop], labels[start:stop], n_train))
+        start = stop
+    return FederatedDataset(clients=clients, classes=part.classes,
+                            metadata=part.metadata)
+
+
+def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
                         test_fraction: float = 0.25,
-                        classes: int | None = None) -> FederatedDataset:
+                        classes: int | None = None) -> Partition:
     """Label-skewed split: per-class client proportions drawn from a
     symmetric Dirichlet. Degenerate draws (an empty client) are resampled.
     classes defaults to the largest label drawn plus one."""
@@ -153,16 +262,16 @@ def dirichlet_partition(x: np.ndarray, y: np.ndarray, m: int,
                 start += cnt
         assignment = [np.concatenate(b) if b else np.empty(0, dtype=int) for b in buckets]
         if all(a.size >= 2 for a in assignment):
-            return _partition_to_dataset(
-                x, y, assignment, classes, test_fraction, seed,
+            return _partition(
+                assignment, classes, test_fraction, seed,
                 {"kind": "dirichlet", "seed": seed, "concentration": concentration},
             )
     raise RuntimeError("could not draw a partition with all clients nonempty")
 
 
-def size_skew(x: np.ndarray, y: np.ndarray, m: int, ratio: float, seed: int,
+def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
               test_fraction: float = 0.25,
-              classes: int | None = None) -> FederatedDataset:
+              classes: int | None = None) -> Partition:
     """Geometric size progression across clients with max/min == ratio.
     classes defaults to the largest label drawn plus one."""
     if ratio < 1:
@@ -181,8 +290,8 @@ def size_skew(x: np.ndarray, y: np.ndarray, m: int, ratio: float, seed: int,
     for cnt in counts:
         assignment.append(order[start:start + cnt])
         start += cnt
-    return _partition_to_dataset(
-        x, y, assignment, classes, test_fraction, seed,
+    return _partition(
+        assignment, classes, test_fraction, seed,
         {"kind": "size_skew", "seed": seed, "ratio": ratio},
     )
 

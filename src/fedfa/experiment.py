@@ -38,12 +38,15 @@ def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDa
             base, m, dcfg.shift_strength, seed,
             dcfg.train_per_client, dcfg.test_per_client, classes=dcfg.classes)
     n = m * (dcfg.train_per_client + dcfg.test_per_client)
-    x, y = base(n, stream(seed, "data", 99))
+    rng = stream(seed, "data", 99)
+    y = base.labels(n, rng)
     if dcfg.kind == "dirichlet":
-        return datamod.dirichlet_partition(x, y, m, dcfg.concentration, seed,
+        part = datamod.dirichlet_partition(y, m, dcfg.concentration, seed,
                                            dcfg.test_fraction, dcfg.classes)
-    return datamod.size_skew(x, y, m, dcfg.size_ratio, seed, dcfg.test_fraction,
-                             dcfg.classes)
+    else:
+        part = datamod.size_skew(y, m, dcfg.size_ratio, seed, dcfg.test_fraction,
+                                 dcfg.classes)
+    return datamod.partition_dataset(base, y, part, rng)
 
 
 def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,

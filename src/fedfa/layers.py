@@ -193,17 +193,14 @@ def _conv_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
 _POOL_TAPS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pool_forward(x: np.ndarray) -> np.ndarray:
-    """2x2 max with stride 2 into a C-contiguous [B,C,H/2,W/2] array.
+def _pool_max(x: np.ndarray) -> np.ndarray:
+    """2x2 max with stride 2: a [B,C,H/2,W/2] view of NHWC memory.
 
     The taps are folded over the NHWC view of x, the memory order conv
     outputs have, so each np.maximum streams whole rows; the values do not
     depend on the view. np.maximum returns its second operand on ties, so
     the taps are folded in reverse to keep the first maximum (the one
-    argmax would pick; this only shows on signed zeros). The output is made
-    C-contiguous on purpose: hooks reduce it over (H, W), and a different
-    memory layout changes the summation order and thus the low bits of
-    those statistics.
+    argmax would pick; this only shows on signed zeros).
     """
     h, w = x.shape[2:]
     if h % 2 or w % 2:
@@ -213,7 +210,17 @@ def _pool_forward(x: np.ndarray) -> np.ndarray:
     out = np.maximum(x11, x10)
     np.maximum(out, x01, out=out)
     np.maximum(out, x00, out=out)
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return out.transpose(0, 3, 1, 2)
+
+
+def _pool_forward(x: np.ndarray) -> np.ndarray:
+    """``_pool_max`` into a C-contiguous [B,C,H/2,W/2] array.
+
+    The output is made C-contiguous on purpose: hooks reduce it over
+    (H, W), and a different memory layout changes the summation order and
+    thus the low bits of those statistics.
+    """
+    return np.ascontiguousarray(_pool_max(x))
 
 
 # ---- kernel pairs -----------------------------------------------------------
@@ -237,7 +244,11 @@ def conv2d_backward(g: np.ndarray, ctx, input_grad: bool = True):
     gx = None
     if input_grad:
         gx = _col2im(gm @ weight.reshape(cout, -1), shape, kh, kw, stride, padding)
-    return gx, gw, gm.sum(axis=0)
+    # einsum adds the rows in the order the axis-0 sum does, but along
+    # whole rows instead of Cout-long inner loops; at Cout == 1 that sum is
+    # pairwise, so it stays
+    gb = np.einsum("ij->j", gm) if cout > 1 else gm.sum(axis=0)
+    return gx, gw, gb
 
 
 def maxpool2x2_forward(x: np.ndarray):
@@ -262,10 +273,11 @@ def maxpool2x2_backward(g: np.ndarray, ctx) -> np.ndarray:
 def relu_maxpool2x2_forward(z: np.ndarray):
     """``maxpool2x2(relu(z))``, pooling first: np.maximum returns its second
     operand on ties, so a window whose max is <= 0 (signed zeros included)
-    gives +0.0 in either order, and a positive max is the same value."""
-    pooled = _pool_forward(z)
-    np.maximum(pooled, 0.0, out=pooled)
-    return pooled, (z, pooled)
+    gives +0.0 in either order, and a positive max is the same value. The
+    relu writes the C-contiguous output ``_pool_forward`` would; the
+    backward keeps the pool's NHWC max."""
+    top = _pool_max(z)
+    return np.maximum(top, 0.0, order="C"), (z, top)
 
 
 def relu_maxpool2x2_backward(g: np.ndarray, ctx) -> np.ndarray:
@@ -274,15 +286,15 @@ def relu_maxpool2x2_backward(g: np.ndarray, ctx) -> np.ndarray:
     relu zeroes every window whose max is <= 0, so only windows with a
     positive max pass gradient, to their first maximum; those windows are
     where the graph's relu mask is one. z, viewed in the conv output's NHWC
-    memory as [B,H/2,2,W/2,2,C], is compared with the pooled max once. Ties
-    are rare among positive values: only when the hits outnumber the
-    positive windows are the taps masked in argmax order. The result is
-    NHWC in memory, where the conv backward reads it.
+    memory as [B,H/2,2,W/2,2,C], is compared with the pool's max (taken
+    before the relu) once. Ties are rare among positive values: only when
+    the hits outnumber the positive windows are the taps masked in argmax
+    order. The result is NHWC in memory, where the conv backward reads it.
     """
-    z, pooled = ctx
+    z, top = ctx
     b, c, h, w = z.shape
     win = (b, h // 2, 1, w // 2, 1, c)
-    top = pooled.transpose(0, 2, 3, 1).reshape(win)
+    top = top.transpose(0, 2, 3, 1).reshape(win)  # a view: NHWC memory
     live = top > 0
     # NaN equals nothing, so windows without a positive max get no hit
     top = np.where(live, top, np.nan)
@@ -328,7 +340,8 @@ def softmax_cross_entropy_forward(z: np.ndarray, labels: np.ndarray):
     e = np.exp(z - m)
     total = e.sum(axis=1)
     lse = m[:, 0] + np.log(total)
-    return (lse - z[np.arange(b), labels]).mean(), (e, total, labels)
+    # .mean()'s sum and divide without its Python wrapper
+    return np.add.reduce(lse - z[np.arange(b), labels]) / b, (e, total, labels)
 
 
 def softmax_cross_entropy_backward(g, ctx) -> np.ndarray:

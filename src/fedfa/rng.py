@@ -25,5 +25,13 @@ _PURPOSES = {
 
 def stream(seed: int, purpose: str, *keys: int) -> np.random.Generator:
     """Generator for (seed, purpose, *keys), reproducible across runs."""
-    entropy = (int(seed), _PURPOSES[purpose], *[int(k) for k in keys])
+    words = (int(seed), _PURPOSES[purpose], *[int(k) for k in keys])
+    # SeedSequence coerces a tuple int by int into uint32 words; when every
+    # int is one word, handing it those words directly gives the same state
+    # in about half the time. Other ints (negative ones are rejected) keep
+    # the tuple form.
+    if min(words) >= 0 and max(words) <= 0xFFFF_FFFF:
+        entropy = np.array(words, dtype=np.uint32)
+    else:
+        entropy = words
     return np.random.default_rng(np.random.SeedSequence(entropy))

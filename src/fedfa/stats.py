@@ -13,7 +13,7 @@ array output as [2,B,C].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +34,22 @@ def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> np.ndarray:
     return channel_mean_std(x, eps_var=eps_var)[..., 0, 0]
 
 
+def _batch_mean(stats: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """stats.mean(axis=1): the same sum and in-place divide, without
+    np.mean's Python wrapper."""
+    mean = np.add.reduce(stats, axis=1, keepdims=keepdims)
+    mean /= stats.shape[1]
+    return mean
+
+
 def batch_variances(stats: np.ndarray) -> np.ndarray:
-    """Variance of the per-sample statistics [2,B,C] across the batch, [2,C]."""
-    return stats.var(axis=1)
+    """Variance of the per-sample statistics [2,B,C] across the batch, [2,C].
+
+    The ufunc sequence of stats.var(axis=1), bit for bit.
+    """
+    dev = stats - _batch_mean(stats, keepdims=True)
+    np.square(dev, out=dev)
+    return _batch_mean(dev)
 
 
 @dataclass(frozen=True)
@@ -69,4 +82,4 @@ def momentum_update(ms: MomentumStats, stats: np.ndarray) -> MomentumStats:
     a = ms.alpha
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"alpha must lie in [0,1], got {a}")
-    return replace(ms, pair=a * ms.pair + (1.0 - a) * stats.mean(axis=1))
+    return MomentumStats(a * ms.pair + (1.0 - a) * _batch_mean(stats), a)

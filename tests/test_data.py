@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from fedfa.config import DatasetConfig
+import tracemalloc
+
+from fedfa import data
 from fedfa.data import (TaskSpec, dirichlet_partition, make_base_sampler,
-                        make_feature_shift, size_skew, _largest_remainder)
+                        make_feature_shift, partition_dataset, size_skew,
+                        _largest_remainder)
 from fedfa.experiment import build_dataset
 from fedfa.rng import stream
 
@@ -13,6 +17,14 @@ SPEC = TaskSpec(classes=4, image_size=6, channels=2, noise=0.2)
 def _pool(n=400, seed=0):
     base = make_base_sampler(SPEC, seed)
     return base(n, stream(seed, "data", 99))
+
+
+def _labels(n=400, seed=0):
+    return make_base_sampler(SPEC, seed).labels(n, stream(seed, "data", 99))
+
+
+def _client_labels(part, y):
+    return [y[rows] for rows in part.rows]
 
 
 # --------------------------------------------------------------- base task
@@ -97,80 +109,141 @@ def test_feature_shift_validation():
 # --------------------------------------------------------------- dirichlet
 
 def test_dirichlet_partition_covers_pool():
-    x, y = _pool(400)
-    ds = dirichlet_partition(x, y, m=5, concentration=0.5, seed=0)
-    total = sum(c.x_train.shape[0] + c.x_test.shape[0] for c in ds.clients)
+    y = _labels(400)
+    part = dirichlet_partition(y, m=5, concentration=0.5, seed=0)
+    total = sum(rows.size for rows in part.rows)
     assert total == 400
-    assert ds.metadata["sizes"] == [c.x_train.shape[0] + c.x_test.shape[0]
-                                    for c in ds.clients]
-    for c in ds.clients:
-        assert c.x_train.shape[0] >= 1 and c.x_test.shape[0] >= 1
+    assert part.metadata["sizes"] == [rows.size for rows in part.rows]
+    for rows, n_train in zip(part.rows, part.n_train):
+        assert n_train >= 1 and rows.size - n_train >= 1
 
 
 def test_dirichlet_skew_grows_as_concentration_shrinks():
-    x, y = _pool(2000)
+    y = _labels(2000)
     uniform = np.full(SPEC.classes, 1.0 / SPEC.classes)
 
-    def mean_tv(ds):
+    def mean_tv(part):
         tv = []
-        for c in ds.clients:
-            labels = np.concatenate([c.y_train, c.y_test])
+        for labels in _client_labels(part, y):
             hist = np.bincount(labels, minlength=SPEC.classes) / labels.size
             tv.append(0.5 * np.abs(hist - uniform).sum())
         return np.mean(tv)
 
-    sharp = mean_tv(dirichlet_partition(x, y, 10, concentration=0.3, seed=0))
-    flat = mean_tv(dirichlet_partition(x, y, 10, concentration=100.0, seed=0))
+    sharp = mean_tv(dirichlet_partition(y, 10, concentration=0.3, seed=0))
+    flat = mean_tv(dirichlet_partition(y, 10, concentration=100.0, seed=0))
     assert sharp > flat + 0.1
 
 
 def test_dirichlet_partition_is_a_partition():
-    x, y = _pool(300)
-    x = x + np.arange(300)[:, None, None, None] * 1e-9  # make rows unique
-    ds = dirichlet_partition(x, y, m=4, concentration=1.0, seed=2)
-    rows = np.concatenate([np.concatenate([c.x_train, c.x_test])
-                           for c in ds.clients])
+    y = _labels(300)
+    part = dirichlet_partition(y, m=4, concentration=1.0, seed=2)
+    rows = np.concatenate(part.rows)
     assert rows.shape[0] == 300
-    assert np.unique(rows.reshape(300, -1), axis=0).shape[0] == 300
+    assert np.array_equal(np.sort(rows), np.arange(300))
 
 
 def test_dirichlet_validation():
-    x, y = _pool(10)
+    y = _labels(10)
     with pytest.raises(ValueError, match="positive"):
-        dirichlet_partition(x, y, 2, concentration=0.0, seed=0)
+        dirichlet_partition(y, 2, concentration=0.0, seed=0)
     with pytest.raises(ValueError, match="cannot cover"):
-        dirichlet_partition(x[:3], y[:3], 5, concentration=1.0, seed=0)
+        dirichlet_partition(y[:3], 5, concentration=1.0, seed=0)
 
 
 # --------------------------------------------------------------- size skew
 
 def test_size_skew_unit_ratio_balanced():
-    x, y = _pool(400)
-    ds = size_skew(x, y, m=4, ratio=1.0, seed=0)
-    sizes = ds.metadata["sizes"]
+    part = size_skew(_labels(400), m=4, ratio=1.0, seed=0)
+    sizes = part.metadata["sizes"]
     assert sum(sizes) == 400
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_size_skew_reference_sizes():
-    x, y = _pool(1000)
-    ds = size_skew(x, y, m=4, ratio=8.0, seed=0)
-    assert ds.metadata["sizes"] == [67, 133, 267, 533]
+    part = size_skew(_labels(1000), m=4, ratio=8.0, seed=0)
+    assert part.metadata["sizes"] == [67, 133, 267, 533]
 
 
 def test_size_skew_ratio_respected():
-    x, y = _pool(600)
-    ds = size_skew(x, y, m=3, ratio=4.0, seed=1)
-    sizes = ds.metadata["sizes"]
+    part = size_skew(_labels(600), m=3, ratio=4.0, seed=1)
+    sizes = part.metadata["sizes"]
     assert max(sizes) / min(sizes) == pytest.approx(4.0, rel=0.1)
 
 
 def test_size_skew_validation():
-    x, y = _pool(40)
+    y = _labels(40)
     with pytest.raises(ValueError, match=">= 1"):
-        size_skew(x, y, 2, ratio=0.5, seed=0)
+        size_skew(y, 2, ratio=0.5, seed=0)
     with pytest.raises(ValueError, match="smallest client"):
-        size_skew(x, y, 4, ratio=1000.0, seed=0)
+        size_skew(y, 4, ratio=1000.0, seed=0)
+
+
+# ------------------------------------------------------ in-place building
+
+@pytest.mark.parametrize("total", [1, 7, 64, 1000])
+def test_standard_normal_in_chunks_equals_one_draw(total):
+    # the fill draws a pool's noise chunk by chunk into its rows
+    want = np.random.default_rng(3).standard_normal(total)
+    for step in (1, 5, 64, 333):
+        rng = np.random.default_rng(3)
+        got = np.empty(total)
+        for start in range(0, total, step):
+            rng.standard_normal(out=got[start:start + step])
+        assert np.array_equal(got, want)
+
+
+def test_sampler_is_template_plus_scaled_noise():
+    base = make_base_sampler(SPEC, 4)
+    x, y = base(50, stream(4, "data", 99))
+    rng = stream(4, "data", 99)
+    labels = rng.integers(0, SPEC.classes, size=50)
+    want = base.templates[labels] + SPEC.noise * rng.standard_normal(x.shape)
+    assert np.array_equal(y, labels)
+    assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "size_skew"])
+@pytest.mark.parametrize("chunk_bytes", [1, 3 * 2 * 6 * 6 * 8, data.FILL_CHUNK_BYTES])
+def test_partition_dataset_equals_pool_then_copy(kind, chunk_bytes, monkeypatch):
+    # chunks of one row, of three rows (a short last chunk) and the default
+    monkeypatch.setattr(data, "FILL_CHUNK_BYTES", chunk_bytes)
+    base = make_base_sampler(SPEC, 6)
+    x, y = base(301, stream(6, "data", 99))
+    if kind == "dirichlet":
+        part = dirichlet_partition(y, 4, concentration=0.5, seed=6)
+    else:
+        part = size_skew(y, 4, ratio=3.0, seed=6)
+    rng = stream(6, "data", 99)
+    assert np.array_equal(base.labels(301, rng), y)
+    ds = partition_dataset(base, y, part, rng)
+    assert ds.classes == part.classes and ds.metadata == part.metadata
+    for c, rows, n_train in zip(ds.clients, part.rows, part.n_train):
+        assert np.array_equal(c.x_train, x[rows[:n_train]])
+        assert np.array_equal(c.x_test, x[rows[n_train:]])
+        assert np.array_equal(c.y_train, y[rows[:n_train]])
+        assert np.array_equal(c.y_test, y[rows[n_train:]])
+
+
+def test_partition_dataset_rejects_another_pool():
+    y = _labels(40)
+    part = size_skew(y[:30], 2, ratio=1.0, seed=0)
+    with pytest.raises(ValueError, match="30 rows of a 40-row pool"):
+        partition_dataset(make_base_sampler(SPEC, 0), y, part, stream(0, "data", 99))
+
+
+@pytest.mark.parametrize("kind", ["feature_shift", "dirichlet", "size_skew"])
+def test_build_dataset_peak_memory_is_its_data_plus_one_chunk(kind):
+    cfg = DatasetConfig(kind=kind, train_per_client=384, test_per_client=128)
+    tracemalloc.start()
+    try:
+        ds = build_dataset(cfg, 8, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data_bytes = sum(c.x_train.nbytes + c.x_test.nbytes for c in ds.clients)
+    # labels, row orders and templates: a few n-long integer arrays
+    slack = 512 * 1024
+    assert peak <= data_bytes + data.FILL_CHUNK_BYTES + slack
 
 
 @pytest.mark.parametrize("kind", ["dirichlet", "size_skew"])

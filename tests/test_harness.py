@@ -155,6 +155,21 @@ def test_mixup_bad_beta():
                     np.random.default_rng(0))
 
 
+# ------------------------------------------------------------------ streams
+
+@pytest.mark.parametrize("seed, key", [(0, 0), (7, 2**32 - 1), (7, 2**32),
+                                       (2**40 + 3, 5)])
+def test_stream_state_is_the_tuple_seed_sequence(seed, key):
+    # one-word keys go in as a uint32 array, larger ones as the tuple
+    want = np.random.default_rng(np.random.SeedSequence((seed, 2, key)))
+    assert stream(seed, "data", key).bit_generator.state == want.bit_generator.state
+
+
+def test_stream_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        stream(0, "data", -1)
+
+
 # -------------------------------------------------------------- experiment
 
 def test_build_dataset_kinds():

@@ -139,3 +139,14 @@ def test_momentum_contraction(alpha, seed):
     batch = stats.mean(axis=1)
     assert np.allclose(np.abs(out.pair - batch),
                        alpha * np.abs(ms.pair - batch), atol=1e-9)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 32, 33, 128])
+@pytest.mark.parametrize("channels", [1, 3, 16])
+def test_batch_moments_bit_identical_to_numpy(batch, channels):
+    rng = np.random.default_rng(batch * 100 + channels)
+    stats = rng.standard_normal((2, batch, channels)) * rng.uniform(0.1, 100.0)
+    assert np.array_equal(batch_variances(stats), stats.var(axis=1))
+    ms = MomentumStats(rng.standard_normal((2, channels)), 0.9)
+    want = 0.9 * ms.pair + (1.0 - 0.9) * stats.mean(axis=1)
+    assert np.array_equal(momentum_update(ms, stats).pair, want)
