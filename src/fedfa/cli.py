@@ -145,7 +145,11 @@ def _cmd_compare(args) -> int:
 def _print_report(run_dir: str) -> int:
     from .report import emit_report
 
-    csv_path, svg_path, warnings = emit_report(run_dir)
+    try:
+        csv_path, svg_path, warnings = emit_report(run_dir)
+    except FileNotFoundError as e:
+        print(e, file=sys.stderr)
+        return 1
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     print(csv_path)
@@ -169,8 +173,8 @@ def _check_theory(seed: int) -> int:
     for s, r in zip(report.scales, report.residuals):
         print(f"scale {s:10.3e}  residual {r:12.5e}")
     ok = report.passes()
-    print(f"exponent {report.exponent:.4f} "
-          f"{'PASS' if ok else 'FAIL'} (want 1.8..2.2)")
+    exponent = "n/a" if report.exponent is None else f"{report.exponent:.4f}"
+    print(f"exponent {exponent} {'PASS' if ok else 'FAIL'} (want 1.8..2.2)")
     return 0 if ok else 1
 
 
@@ -233,6 +237,17 @@ def _cmd_check(args) -> int:
     return _check_invariants(args.seed)
 
 
+def _int_at_least(lo: int):
+    """An argparse type: an int >= lo, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's name for an unparsable value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fedfa",
@@ -259,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="every algorithm on N seeds, plus fedavg and "
                             "fedfa without client 3: paired differences "
                             "with bootstrap CIs in <run root>/compare.json")
-    p.add_argument("--seeds", type=int, default=20,
+    p.add_argument("--seeds", type=_int_at_least(2), default=20,
                    help="seeds 0..N-1, N >= 2 (default: 20)")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel worker processes (default: one per run, "
@@ -278,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commcost",
                        help="statistic-exchange bytes per client per round")
-    p.add_argument("channels", type=int, nargs="+",
+    p.add_argument("channels", type=_int_at_least(1), nargs="+",
                    help="channel count of each augmentation site")
     p.add_argument("--bytes-per-value", type=int, default=4)
     p.set_defaults(fn=_cmd_commcost)

@@ -33,28 +33,12 @@ for a backward pass and gives the logits of ``net_forward`` bit for bit,
 so predictions equal the argmax of the training forward.
 
 The training kernels work in the memory order the conv matmul writes,
-NHWC, with im2col rows in (B, H, W) order. The conv adds its bias in
-place along whole per-sample rows, the same elementwise add as a
-broadcast. The pool folds its four taps over the NHWC view, in reverse
-tap order so the first maximum wins a tie, and relu runs after the pool
-on the quarter-size array. That order is bit-identical to relu first:
-np.maximum returns its second operand on ties, so a window whose max is
-<= 0 gives +0.0 either way, and a positive max is unchanged. The weight
-and bias gradients sum over the im2col rows in that order, so training
-keeps it. ``infer_logits`` sums nothing over rows, so it keeps each
-activation feature-major instead: one row of B samples per (position,
-channel) feature, which its im2col gather copies whole. Its conv rows
-come in (position, sample) order, a pooling stage's positions ordered by
-pool tap, (i, j, H/2, W/2), so the pool folds four contiguous slabs; the
-bias is added after the pool.
-
-The first conv's input is the data, a constant: its backward computes no
-input gradient. Later convs scatter patch gradients back with
-``_col2im``, a zero-filled NHWC buffer and one strided ``+=`` per tap in
-(kh, kw) order. A stage with both relu and pool is one
-``relu_maxpool2x2`` op, whose backward gives the gradient of
-``maxpool2x2(relu(z))`` bit for bit without the relu mask or the
-zero-filled pool gradient.
+NHWC, with im2col rows in (B, H, W) order, because the weight and bias
+gradients sum over those rows in that order; ``_pool_max``,
+``relu_maxpool2x2_forward``, ``_col2im`` and their backward kernels say
+how each keeps it. ``infer_logits`` sums nothing over rows, so it keeps
+each activation channel-major instead, in the input's (C, H, W) feature
+order; its docstring says how it stays bit-identical.
 """
 
 from __future__ import annotations
@@ -72,15 +56,15 @@ from .tensor import Tensor, kernel_node
 
 @functools.cache
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  padding: int, nhwc: bool = False, tap_major: bool = False,
+                  padding: int, tap_major: bool = False,
                   k_major: bool = False) -> tuple[np.ndarray, int, int]:
-    """Flat gather index into C*H*W features, in (C, H, W) order or with
-    nhwc in (H, W, C) order, plus one trailing zero; taps that fall in the
-    padding point at the zero. Ordered (Ho, Wo, C, kh, kw), or with
-    tap_major (i, j, Ho/2, Wo/2, C, kh, kw): output position (2p + i,
-    2q + j) is pool tap (i, j) of pooled position (p, q). k_major moves
-    the (C, kh, kw) axes to the front, the order of a transposed im2col
-    matrix. Read-only, because the cache shares it."""
+    """Flat gather index into C*H*W features in (C, H, W) order, plus one
+    trailing zero; taps that fall in the padding point at the zero.
+    Ordered (Ho, Wo, C, kh, kw), or with tap_major (i, j, Ho/2, Wo/2, C,
+    kh, kw): output position (2p + i, 2q + j) is pool tap (i, j) of pooled
+    position (p, q). k_major moves the (C, kh, kw) axes to the front, the
+    order of a transposed im2col matrix. Read-only, because the cache
+    shares it."""
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -96,9 +80,7 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
             + np.arange(kw) - padding)
     chan = np.arange(c)[:, None, None]
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    src = ((rows * w + cols) * c + chan if nhwc
-           else chan * (h * w) + rows * w + cols)
-    idx = np.where(inside, src, c * h * w)
+    idx = np.where(inside, chan * (h * w) + rows * w + cols, c * h * w)
     if tap_major:
         idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(1, 3, 0, 2, 4)
     if k_major:
@@ -595,18 +577,23 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
     return grads
 
 
-# infer_logits hands BLAS the transpose of a C-ordered im2col matrix where
-# net_forward hands it the C-ordered matrix. Both calls sum every output's
-# dot product in the same order unless the library sends one of them to
-# another kernel. A sweep of both over K = C*kh*kw, Cout and M rows
-# (scipy-openblas 0.3.31, SkylakeX, one thread) found two such regimes:
-# numpy runs a Cout = 1 matmul through gemv, whose two forms sum
-# differently (every M >= 2), and OpenBLAS runs the C-ordered call through
-# its small-matrix kernel when K >= 32 and M*Cout <= 1200. In both,
-# infer_logits copies the matrix to C order and makes net_forward's own
-# call; past Cout = 1 the copy holds at most a few thousand values, so it
-# is made for every K.
-_SMALL_GEMM = 1200
+@functools.cache
+def _gemm_forms_agree(k: int, cout: int, m: int) -> bool:
+    """Whether ``w @ cols`` (w [Cout, K], cols [K, M], both C-ordered)
+    equals ``net_forward``'s ``cols.T @ w.T``, cols.T copied to C order,
+    bit for bit on random draws from a private generator. Premise: two
+    call forms that agree on random data agree on all data, since BLAS
+    picks its kernel by shape and layout alone; so a verdict holds only on
+    the core that probed it."""
+    gen = np.random.default_rng(0)
+    # draws until 256 outputs are compared: where the forms differ, one
+    # output coincides by chance up to ~80 % of the time (at Cout = 1,
+    # K = 2..5), so even two draws of (K=3, Cout=1, M=2) can agree
+    for _ in range(-(-256 // (cout * m))):
+        cols, w = gen.uniform(-1.0, 1.0, (k, m)), gen.uniform(-1.0, 1.0, (cout, k))
+        if not np.array_equal(w @ cols, (np.ascontiguousarray(cols.T) @ w.T).T):
+            return False
+    return True
 
 
 def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
@@ -614,52 +601,49 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     """The logits of ``net_forward`` without hooks, bit for bit, from a loop
     of its own that keeps nothing for a backward pass.
 
-    Each stage reads a feature-major array: one row of B samples per input
-    feature, a (position, channel) pair, plus a zero row that padding taps
-    point at. Its K-major gather index (``_im2col_index``) makes
-    ``np.take`` copy whole rows of B values, into the transposed im2col
-    matrix [C*kh*kw, positions*B]. The matmul multiplies its transpose, a
-    view, so BLAS computes each output row of ``net_forward``'s matrix on
-    its own, in the same order (``_SMALL_GEMM`` has the exceptions), and
-    every row keeps its value; the rows come in (position, sample) order.
-    A stage that pools orders its positions tap-major, so its output is
-    four contiguous slabs, one per pool tap, folded in reverse tap order
-    as ``_pool_forward`` folds them. The bias is added after the pool, on
-    the quarter-size map: rounding is monotone, so max_t fl(z_t + b) =
-    fl(max_t z_t + b), and a zero max keeps its sign (fl(z + b) is -0.0
-    only for z = b = -0.0). Then relu, and the [positions, B, C] map is
-    transposed into the next stage's feature rows, or for the head into
-    C-ordered [B, C*H*W] rows, the operand ``net_forward`` gives it.
+    Activations stay channel-major, in the input's (C, H, W) feature
+    order: one row of B samples per feature, plus a zero row that padding
+    taps point at. ``np.take`` copies whole rows into the transposed
+    im2col matrix cols [C*kh*kw, positions*B]. The conv is ``W @ cols``,
+    or ``net_forward``'s call on a C-ordered copy where
+    ``_gemm_forms_agree`` finds that BLAS sums the two forms differently.
+    A stage that pools orders its positions by pool tap, so each channel's
+    row is four contiguous slabs, reduced max(acc, next) in reverse tap
+    order, as ``_pool_max`` folds them, into the next stage's rows. The
+    bias is added after the pool: rounding is monotone, so
+    max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max keeps its sign
+    (fl(z + b) is -0.0 only for z = b = -0.0). Then relu; the head gets
+    the last rows as C-ordered [B, C*H*W].
     """
     x = _as_batch(x)
     b, c, h, w = x.shape
-    feats, nhwc = x.reshape(b, -1).T, False
+    rows = np.empty((c * h * w + 1, b))
+    rows[:-1] = x.reshape(b, -1).T
     for i, s in enumerate(spec.stages):
+        rows[-1] = 0.0  # the padding's zero row
         weight, bias = params[f"conv{i}.weight"], params[f"conv{i}.bias"]
         cout, kh, kw = _conv_shape(c, weight)
         idx, h, w = _im2col_index(c, h, w, kh, kw, s.stride, s.padding,
-                                  nhwc, s.pool, k_major=True)
-        # the stage's input: its feature rows, then the padding's zero row
-        rows = np.empty((feats.size // b + 1, b))
-        rows[:-1].reshape(feats.shape)[...] = feats
-        rows[-1] = 0.0
-        cols = np.take(rows, idx, axis=0).reshape(c * kh * kw, -1).T
-        if cout == 1 or cols.shape[0] * cout <= _SMALL_GEMM:
-            cols = np.ascontiguousarray(cols)
-        act = cols @ weight.reshape(cout, -1).T
+                                  tap_major=s.pool, k_major=True)
+        # probed before the gather: the probe's draws and cols are never
+        # live at once, which keeps a block's peak memory down
+        agree = _gemm_forms_agree(c * kh * kw, cout, h * w * b)
+        cols = np.take(rows, idx, axis=0).reshape(c * kh * kw, -1)
+        wm = weight.reshape(cout, -1)
+        act = wm @ cols if agree else (np.ascontiguousarray(cols.T) @ wm.T).T
+        c = cout
         if s.pool:
             h, w = h // 2, w // 2
-            x11, x10, x01, x00 = act.reshape(4, -1, cout)[::-1]
-            act = np.maximum(x11, x10)
-            np.maximum(act, x01, out=act)
-            np.maximum(act, x00, out=act)
-        act = act.reshape(h * w, b, cout)
-        np.add(act, bias, out=act)
+        rows = np.empty((c * h * w + 1, b))
+        feats = rows[:-1].reshape(c, -1)
+        if s.pool:
+            np.maximum.reduce(act.reshape(c, 4, -1)[:, ::-1], axis=1, out=feats)
+        else:
+            feats[...] = act
+        np.add(feats, bias[:, np.newaxis], out=feats)
         if s.relu:
-            np.maximum(act, 0.0, out=act)
-        feats, c, nhwc = act.transpose(0, 2, 1), cout, True
-    # C order: at C = 1 the reshape would be an F-ordered view
-    head_rows = np.ascontiguousarray(feats.transpose(2, 1, 0)).reshape(b, -1)
+            np.maximum(feats, 0.0, out=feats)
+    head_rows = np.ascontiguousarray(rows[:-1].T)
     return linear_forward(head_rows, params["head.weight"], params["head.bias"])[0]
 
 

@@ -17,14 +17,12 @@ def collect_runs(root):
     Returns (runs, warnings); each run is a dict with algorithm, seed and
     the parsed metric records.
     """
-    candidates = []
     if os.path.isfile(os.path.join(root, "metrics.jsonl")):
-        candidates.append(root)
-    elif os.path.isdir(root):
-        for name in sorted(os.listdir(root)):
-            sub = os.path.join(root, name)
-            if os.path.isdir(sub):
-                candidates.append(sub)
+        candidates = [root]
+    else:
+        names = sorted(os.listdir(root)) if os.path.isdir(root) else []
+        candidates = [sub for sub in (os.path.join(root, n) for n in names)
+                      if os.path.isdir(sub)]
     runs, warnings = [], []
     for d in candidates:
         metrics = os.path.join(d, "metrics.jsonl")
@@ -40,12 +38,8 @@ def collect_runs(root):
             seed = cfg.get("seed")
         else:
             warnings.append(f"{d}: no config.json, using directory name")
-        records = []
         with open(metrics) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+            records = [json.loads(line) for line in f if line.strip()]
         if not records:
             warnings.append(f"{d}: metrics.jsonl is empty")
         runs.append({"dir": d, "algorithm": algorithm, "seed": seed,
@@ -73,11 +67,8 @@ def _mean_curves(runs):
             acc = rec.get("mean_test_acc")
             if acc is not None:
                 by_algo[run["algorithm"]][rec["round"]].append(acc)
-    curves = {}
-    for algo, rounds in by_algo.items():
-        pts = sorted((r, sum(v) / len(v)) for r, v in rounds.items())
-        curves[algo] = pts
-    return curves
+    return {algo: sorted((r, sum(v) / len(v)) for r, v in rounds.items())
+            for algo, rounds in by_algo.items()}
 
 
 def write_accuracy_svg(runs, path, width: int = 640, height: int = 400) -> None:
@@ -118,8 +109,11 @@ def write_accuracy_svg(runs, path, width: int = 640, height: int = 400) -> None:
 
 
 def emit_report(root):
-    """Write summary.csv and accuracy.svg under root; returns the paths."""
+    """Write summary.csv and accuracy.svg under root; returns the paths.
+    Raises FileNotFoundError if root holds no run."""
     runs, warnings = collect_runs(root)
+    if not runs:
+        raise FileNotFoundError(f"{root}: no run directory with a metrics.jsonl")
     csv_path = os.path.join(root, "summary.csv")
     svg_path = os.path.join(root, "accuracy.svg")
     write_summary_csv(runs, csv_path)

@@ -13,7 +13,7 @@ zero-fills a new gradient buffer, then adds. ``batch_grads`` is the
 training step as a graph: ``ConvNet.forward``, the loss nodes and
 ``Tensor.backward``. ``evaluate`` scores a test set in one unblocked
 ``net_forward`` call per 512 samples, so it runs the two forward kernels
-in plain row order, not ``infer_logits``'s feature-major loop. ``install``
+in plain row order, not ``infer_logits``'s channel-major loop. ``install``
 swaps all of them into the library, the two forward kernels, the training
 step and ``evaluate`` included, so training runs on the graph and
 evaluation on the reference forward kernels without blocks;

@@ -396,7 +396,8 @@ def test_evaluate_working_set_stays_cache_sized():
     params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
     x = np.random.default_rng(0).standard_normal((512, 3, 8, 8))
     y = np.zeros(512, dtype=int)
-    evaluate(params, spec, x[:1], y[:1])  # build the cached gather indices
+    # build the cached gather indices and matmul probe verdicts
+    evaluate(params, spec, x, y)
     tracemalloc.start()
     try:
         evaluate(params, spec, x, y)
@@ -456,11 +457,21 @@ def test_theory_flags_nonfinite_loss():
 # ------------------------------------------------------------------ report
 
 def test_report_empty_root(tmp_path):
-    csv_path, svg_path, warnings = emit_report(tmp_path)
-    rows = list(csv.reader(open(csv_path)))
-    assert rows == [["algorithm", "seed", "round",
-                     "mean_test_acc", "mean_train_loss"]]
-    assert os.path.isfile(svg_path)
+    os.makedirs(tmp_path / "not_a_run")
+    with pytest.raises(FileNotFoundError, match="no run directory"):
+        emit_report(tmp_path)
+    assert os.listdir(tmp_path) == ["not_a_run"]  # nothing written
+
+
+@pytest.mark.parametrize("make", [False, True], ids=["missing", "empty"])
+def test_cli_report_without_runs(tmp_path, capsys, make):
+    root = tmp_path / "runs"
+    if make:
+        os.makedirs(root)
+    assert main(["report", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{root}: no run directory with a metrics.jsonl\n"
 
 
 def test_report_two_algorithms(tmp_path):
@@ -591,8 +602,36 @@ def test_compare_json_identical_across_reruns_and_workers(tmp_path):
 
 def test_compare_needs_two_seeds(tmp_path):
     with pytest.raises(ValueError, match="at least 2 seeds, got 1"):
-        main(["compare", "--seeds", "1", "--run-root", str(tmp_path)])
+        compare(tiny_cfg(), 1, run_root=tmp_path)
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["commcost", "0", "8"], "argument channels: must be >= 1, got 0"),
+    (["commcost", "8", "x"], "argument channels: invalid int value: 'x'"),
+    (["compare", "--seeds", "1"], "argument --seeds: must be >= 2, got 1"),
+], ids=["commcost-0", "commcost-x", "compare-1-seed"])
+def test_cli_rejects_bad_counts_with_a_usage_error(argv, error, capsys):
+    # argparse rejects them, before anything runs
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"fedfa {argv[0]}: error: {error}"
+
+
+def test_check_theory_without_an_exponent_fails(monkeypatch, capsys):
+    # fewer than two residuals above RESIDUAL_FLOOR leave no slope to fit
+    from fedfa import theory
+
+    report = theory.TheoryCheckReport(scales=[0.1, 0.01], residuals=[1e-3, 0.0],
+                                      exponent=None, loss_clean=1.0,
+                                      linear_coefficient=0.0)
+    monkeypatch.setattr(theory, "reference_check", lambda seed: report)
+    assert main(["check", "theory"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "exponent n/a FAIL (want 1.8..2.2)")
 
 
 def test_paired_summary_counts_and_interval():

@@ -378,23 +378,62 @@ def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
         assert_bits_equal(got[1], want[1])
 
 
+# stage 1 of both 4x4 nets (K = 72 and K = 144) meets OpenBLAS's
+# small-matrix kernel at many block sizes, not only small ones: there the
+# two conv matmul forms differ and infer_logits falls back to
+# net_forward's call (layers._gemm_forms_agree)
+K144_SPEC = NetSpec(stages=(StageSpec(3, 16), StageSpec(16, 16)), image_size=4,
+                    classes=6)
+SMALL_GEMM_SWEEPS = [(default_net_spec(image_size=4), 130), (K144_SPEC, 130)]
+
+
 @pytest.mark.parametrize("spec,batches", [
     (default_net_spec(image_size=8), 160),
     (default_net_spec(image_size=16), 40),
     (K36_SPEC, 160),
-], ids=["8x8", "16x16", "k36"])
+    *SMALL_GEMM_SWEEPS,
+], ids=["8x8", "16x16", "k36", "4x4", "k144"])
 def test_infer_logits_bit_identical_at_every_batch_size(spec, batches,
                                                         monkeypatch):
-    # BLAS may run net_forward's conv matmul and infer_logits' on different
-    # kernels at some sizes (layers._SMALL_GEMM): OpenBLAS's small-matrix
-    # kernel takes the default net's stage 1 at 8x8 for B <= 4 and
-    # K36_SPEC's stage 0 for B <= 2; every B from 1 to past the cap
+    # every B from 1 to past the cap: BLAS may run the two conv matmul
+    # forms on different kernels at some sizes
     params, x = signed_zero_net(spec, batches, np.random.default_rng(batches))
     for b in range(1, batches + 1):
         got = head_inputs(monkeypatch, lambda: infer_logits(spec, params, x[:b]))
         want = head_inputs(monkeypatch, lambda: net_forward(spec, params, x[:b]))
         assert_bits_equal(got[0], want[0])
         assert_bits_equal(got[1], want[1])
+
+
+def forms_agree_on(gen, k, cout, m):
+    """Whether the two conv matmul forms agree on one draw of gen."""
+    cols, w = gen.uniform(-1.0, 1.0, (k, m)), gen.uniform(-1.0, 1.0, (cout, k))
+    return np.array_equal(w @ cols, (np.ascontiguousarray(cols.T) @ w.T).T)
+
+
+@pytest.mark.parametrize("spec,batches", SMALL_GEMM_SWEEPS, ids=["4x4", "k144"])
+def test_gemm_probe_verdicts_hold_on_another_draw(spec, batches):
+    # the probe's premise on this core: a shape's verdict does not depend
+    # on the data, so a third draw agrees with the probe's (on SkylakeX
+    # both sweeps meet both verdicts)
+    gen = np.random.default_rng(2)
+    for b in range(1, batches + 1):
+        for s, size in zip(spec.stages, spec.conv_sizes):
+            k, m = s.in_ch * s.ksize ** 2, size * size * b
+            agree = forms_agree_on(gen, k, s.out_ch, m)
+            assert layers._gemm_forms_agree(k, s.out_ch, m) == agree, (k, m)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_gemm_probe_sees_differences_few_outputs_hide(k):
+    # at Cout = 1 and a few columns, every output of a draw can coincide
+    # although the forms differ, so two draws are not enough (K = 3,
+    # M = 2 fails with them); the verdict must match 200 draws of another
+    # generator
+    gen = np.random.default_rng(3)
+    for m in (1, 2, 3, 5):
+        agree = all(forms_agree_on(gen, k, 1, m) for _ in range(200))
+        assert layers._gemm_forms_agree(k, 1, m) == agree, m
 
 
 @pytest.mark.parametrize("relu", [True, False])
