@@ -177,8 +177,7 @@ def draw_eps(rng: np.random.Generator, batch: int, channels: int) -> np.ndarray:
     return rng.standard_normal((2, batch, channels))
 
 
-def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator,
-            training: bool = True, eps=None):
+def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator, eps=None):
     """Apply the gated statistic perturbation to a feature map.
 
     fused is the [2,C] variance budget, or a function that builds it from
@@ -191,11 +190,11 @@ def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator,
     ``ffa_transform`` node and used_eps the [2,B,C] draw (or the eps
     passed). For an array x, the training chain's hook, returns (x_hat,
     back): back maps the gradient of x_hat to that of x. used_eps and back
-    are None when the gate stayed closed (eval mode, p == 0, or an unlucky
-    draw), and x_hat is then x itself.
+    are None when the gate stayed closed (p == 0 or an unlucky draw), and
+    x_hat is then x itself.
     """
     if eps is None:
-        if not training or cfg.p == 0.0 or rng.random() >= cfg.p:
+        if cfg.p == 0.0 or rng.random() >= cfg.p:
             return x, None
         eps = draw_eps(rng, x.shape[0], x.shape[1])
     if isinstance(x, Tensor):

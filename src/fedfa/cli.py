@@ -31,8 +31,22 @@ def _last_record(run_dir: str) -> dict:
         return json.loads(f.readlines()[-1])
 
 
+class BadConfig(Exception):
+    """A config file that cannot be read, parsed or validated; ``main``
+    prints it as ``<path>: <reason>`` and exits 2."""
+
+
+def _read_config(path) -> ExperimentConfig:
+    try:
+        return ExperimentConfig.from_json(path)
+    except OSError as e:
+        raise BadConfig(f"{path}: {e.strerror}") from None
+    except ValueError as e:
+        raise BadConfig(f"{path}: {e}") from None
+
+
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = _read_config(args.config)
     run_dir = run_experiment(cfg, run_root=args.run_root)
     last = _last_record(run_dir)
     print(f"{run_dir}: round {last['round']} "
@@ -61,7 +75,7 @@ def _cmd_sweep(args) -> int:
     if not paths:
         print(f"no configs match {args.config_glob!r}", file=sys.stderr)
         return 1
-    cfgs = [ExperimentConfig.from_json(p) for p in paths]
+    cfgs = [_read_config(p) for p in paths]
     first = {}
     for path, cfg in zip(paths, cfgs):
         other = first.setdefault(cfg.name, path)
@@ -79,8 +93,11 @@ def _cmd_sweep(args) -> int:
 
 GATE_SEEDS = 5  # tests/test_acceptance.py: criteria 7 and 8 run seeds 0-4
 HELD_OUT = 3  # criterion 8's held-out client
+_HELD_OUT_CLIENTS = (f"compare holds out client {HELD_OUT}, so it needs at "
+                     f"least {HELD_OUT + 1} clients, got {{}}")
 PAIRS = {  # name: (accuracy table, minuend, subtrahend)
     "fedfa - fedavg": ("final_acc", "fedfa", "fedavg"),
+    "fedfa - fedfa-c": ("final_acc", "fedfa", "fedfa-c"),
     "fedfa - fedfa-r": ("final_acc", "fedfa", "fedfa-r"),
     "held-out fedfa - fedavg": ("held_out_acc", "fedfa", "fedavg"),
 }
@@ -106,6 +123,8 @@ def compare(base: ExperimentConfig, seeds: int, workers=None,
     accuracies and the PAIRS summaries to <run root>/compare.json."""
     if seeds < 2:
         raise ValueError(f"compare needs at least 2 seeds, got {seeds}")
+    if base.clients <= HELD_OUT:
+        raise ValueError(_HELD_OUT_CLIENTS.format(base.clients))
     root = resolve_run_root(run_root)
     cfg = {(a, s): dataclasses.replace(base, algorithm=a, seed=s, run_name=None)
            for a in ALGORITHMS for s in range(seeds)}
@@ -129,8 +148,11 @@ def compare(base: ExperimentConfig, seeds: int, workers=None,
 
 
 def _cmd_compare(args) -> int:
-    result = compare(ExperimentConfig(), args.seeds, args.workers,
-                     args.run_root)
+    base = _read_config(args.config) if args.config else ExperimentConfig()
+    if base.clients <= HELD_OUT:  # before any run, as a bad config
+        reason = _HELD_OUT_CLIENTS.format(base.clients)
+        raise BadConfig(f"{args.config}: {reason}")
+    result = compare(base, args.seeds, args.workers, args.run_root)
     n = result["seeds"]
     for name, s in result["paired"].items():
         print(f"{name:23s}  mean {s['mean']:+.4f}  95% CI "
@@ -274,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="every algorithm on N seeds, plus fedavg and "
                             "fedfa without client 3: paired differences "
                             "with bootstrap CIs in <run root>/compare.json")
+    p.add_argument("config", nargs="?", default=None,
+                   help="JSON config every run starts from, its algorithm, "
+                        "seed and run name replaced (default: the "
+                        "built-in defaults)")
     p.add_argument("--seeds", type=_int_at_least(2), default=20,
                    help="seeds 0..N-1, N >= 2 (default: 20)")
     p.add_argument("--workers", type=int, default=None,
@@ -303,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     pin_malloc_thresholds()
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BadConfig as e:
+        print(e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -139,10 +139,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """The validated config of a JSON object; a ValueError names the
+        first key that is unknown or holds a value of the wrong JSON type."""
+        _check_keys(d, cls, "experiment")
         d = dict(d)
         ds = d.pop("dataset", {})
-        _reject_unknown(ds, DatasetConfig, "dataset")
-        _reject_unknown(d, cls, "experiment")
+        _check_keys(ds, DatasetConfig, "dataset")
         cfg = cls(dataset=DatasetConfig(**ds), **d)
         cfg.validate()
         return cfg
@@ -158,8 +160,34 @@ class ExperimentConfig:
             f.write("\n")
 
 
-def _reject_unknown(d: dict, cls, where: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - known
+# a field's annotation: the Python types of the JSON values it takes, and
+# their name
+_JSON_TYPES = {
+    "bool": ((bool,), "true or false"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "DatasetConfig": ((dict,), "an object"),
+}
+
+
+def _check_keys(d, cls, where: str) -> None:
+    """Reject a non-object d, a key that is not a field of cls, and a value
+    of a JSON type the field does not take (true is no number here)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object, got {_as_json(d)}")
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
     if unknown:
         raise ValueError(f"unknown {where} config keys: {sorted(unknown)}")
+    for key, value in d.items():
+        types, name = _JSON_TYPES[fields[key]]
+        if not isinstance(value, types) or (isinstance(value, bool)
+                                            and bool not in types):
+            key = key if where == "experiment" else f"{where}.{key}"
+            raise ValueError(f"{key}: expected {name}, got {_as_json(value)}")
+
+
+def _as_json(value) -> str:
+    return json.dumps(value, default=repr)

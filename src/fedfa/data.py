@@ -49,22 +49,27 @@ class FederatedDataset:
     metadata: dict = field(default_factory=dict)
 
 
+# per (class, channel), in draw order: the bump's centre (cy, cx), width
+# and amplitude, the grating's frequencies (fy, fx) and phase
+_TEMPLATE_LOW = np.array([0.15, 0.15, 0.12, 0.8, 0.5, 0.5, 0.0])
+_TEMPLATE_HIGH = np.array([0.85, 0.85, 0.3, 1.6, 2.5, 2.5, 2 * np.pi])
+
+
 def class_templates(spec: TaskSpec, rng: np.random.Generator) -> np.ndarray:
-    """One [C,H,W] template per class: a bump plus an oriented grating."""
+    """One [C,H,W] template per class: a bump plus an oriented grating.
+
+    One draw of seven uniforms per (class, channel), scaled as numpy's
+    ``uniform`` scales them (low + (high - low) * u), so the values are
+    those of drawing each parameter with ``rng.uniform`` class by class,
+    channel by channel."""
     size = spec.image_size
     yy, xx = np.mgrid[0:size, 0:size] / max(size - 1, 1)
-    templates = np.zeros((spec.classes, spec.channels, size, size))
-    for k in range(spec.classes):
-        for c in range(spec.channels):
-            cy, cx = rng.uniform(0.15, 0.85, size=2)
-            width = rng.uniform(0.12, 0.3)
-            amp = rng.uniform(0.8, 1.6)
-            bump = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
-            fy, fx = rng.uniform(0.5, 2.5, size=2)
-            phase = rng.uniform(0, 2 * np.pi)
-            grating = 0.6 * np.sin(2 * np.pi * (fy * yy + fx * xx) + phase)
-            templates[k, c] = bump + grating
-    return templates
+    u = rng.random((spec.classes, spec.channels, len(_TEMPLATE_LOW)))
+    draws = _TEMPLATE_LOW + (_TEMPLATE_HIGH - _TEMPLATE_LOW) * u
+    cy, cx, width, amp, fy, fx, phase = np.moveaxis(draws, -1, 0)[..., None, None]
+    bump = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
+    grating = 0.6 * np.sin(2 * np.pi * (fy * yy + fx * xx) + phase)
+    return bump + grating
 
 
 # Rows per step of the feature fill are sized by this many bytes of
@@ -137,8 +142,7 @@ def _split(x: np.ndarray, y: np.ndarray, n_train: int) -> ClientData:
 
 def make_feature_shift(base: BaseSampler, m: int, shift_strength: float, seed: int,
                        train_per_client: int = 128,
-                       test_per_client: int = 64,
-                       classes: int | None = None) -> FederatedDataset:
+                       test_per_client: int = 64) -> FederatedDataset:
     """Clients draw i.i.d. from base, then apply a per-client channel affine.
 
     Channel c of client m becomes a[c]*x + b[c] with a in [1-s, 1+s] and
@@ -165,9 +169,8 @@ def make_feature_shift(base: BaseSampler, m: int, shift_strength: float, seed: i
         rows += b[None, :, None, None]
         shifts.append({"scale": a.tolist(), "offset": b.tolist()})
         clients.append(_split(rows, y, train_per_client))
-    k = _class_count(classes, np.concatenate([c.y_train for c in clients]))
     return FederatedDataset(
-        clients=clients, classes=k,
+        clients=clients, classes=base.spec.classes,
         metadata={"kind": "feature_shift", "seed": seed,
                   "shift_strength": shift_strength, "shifts": shifts},
     )
@@ -237,17 +240,16 @@ def partition_dataset(base: BaseSampler, y: np.ndarray, part: Partition,
 
 
 def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
-                        test_fraction: float = 0.25,
-                        classes: int | None = None) -> Partition:
-    """Label-skewed split: per-class client proportions drawn from a
-    symmetric Dirichlet. Degenerate draws (an empty client) are resampled.
-    classes defaults to the largest label drawn plus one."""
+                        test_fraction: float = 0.25, *,
+                        classes: int) -> Partition:
+    """Label-skewed split of labels y in [0, classes): per-class client
+    proportions drawn from a symmetric Dirichlet. Degenerate draws (an
+    empty client) are resampled."""
     if concentration <= 0:
         raise ValueError("concentration must be positive")
     n = y.shape[0]
     if n < m:
         raise ValueError(f"{n} samples cannot cover {m} clients")
-    classes = _class_count(classes, y)
     rng = stream(seed, "data", 7)
     for _attempt in range(100):
         buckets: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -270,10 +272,9 @@ def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
 
 
 def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
-              test_fraction: float = 0.25,
-              classes: int | None = None) -> Partition:
-    """Geometric size progression across clients with max/min == ratio.
-    classes defaults to the largest label drawn plus one."""
+              test_fraction: float = 0.25, *, classes: int) -> Partition:
+    """Geometric size progression across clients with max/min == ratio;
+    labels y lie in [0, classes)."""
     if ratio < 1:
         raise ValueError("ratio must be >= 1")
     n = y.shape[0]
@@ -282,7 +283,6 @@ def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
     counts = _largest_remainder(n * weights / weights.sum())
     if min(counts) < 2:
         raise ValueError("smallest client would be empty; lower ratio or add data")
-    classes = _class_count(classes, y)
     rng = stream(seed, "data", 8)
     order = rng.permutation(n)
     assignment = []
@@ -294,12 +294,6 @@ def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
         assignment, classes, test_fraction, seed,
         {"kind": "size_skew", "seed": seed, "ratio": ratio},
     )
-
-
-def _class_count(classes: int | None, y: np.ndarray) -> int:
-    """classes, or without it the largest label in y plus one, which
-    undercounts when a small draw misses the top classes."""
-    return int(classes) if classes is not None else int(y.max()) + 1
 
 
 def _largest_remainder(quotas: np.ndarray) -> list[int]:

@@ -36,16 +36,16 @@ def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDa
     if dcfg.kind == "feature_shift":
         return datamod.make_feature_shift(
             base, m, dcfg.shift_strength, seed,
-            dcfg.train_per_client, dcfg.test_per_client, classes=dcfg.classes)
+            dcfg.train_per_client, dcfg.test_per_client)
     n = m * (dcfg.train_per_client + dcfg.test_per_client)
     rng = stream(seed, "data", 99)
     y = base.labels(n, rng)
     if dcfg.kind == "dirichlet":
         part = datamod.dirichlet_partition(y, m, dcfg.concentration, seed,
-                                           dcfg.test_fraction, dcfg.classes)
+                                           dcfg.test_fraction, classes=dcfg.classes)
     else:
         part = datamod.size_skew(y, m, dcfg.size_ratio, seed, dcfg.test_fraction,
-                                 dcfg.classes)
+                                 classes=dcfg.classes)
     return datamod.partition_dataset(base, y, part, rng)
 
 

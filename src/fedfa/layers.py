@@ -1,17 +1,17 @@
 """Network layers and the small conv net used throughout the simulator.
 
-The feature extractor is a sequence of conv stages (conv, relu, optional
-2x2 max-pool). After each stage an optional per-stage hook runs, which is
-where stochastic feature augmentation plugs in. The classifier head is a
-single linear layer on the flattened final feature map.
+The feature extractor is a sequence of conv stages, each a conv followed
+by relu and 2x2 max-pool, or a bare conv (``StageSpec.relu_pool``). After
+each stage an optional per-stage hook runs, which is where stochastic
+feature augmentation plugs in. The classifier head is a single linear
+layer on the flattened final feature map.
 
 Every training op is a kernel pair on plain arrays: a forward kernel that
 returns its output and a backward context, and a backward kernel that
 maps the output's gradient and that context to the input and parameter
-gradients (``conv2d_*``, ``relu_maxpool2x2_*``, ``maxpool2x2_*``,
-``relu_*``, ``linear_*``, ``softmax_cross_entropy_*``; the augmentation's
-``ffa_forward``/``ffa_backward`` live in ``augment``). They have two
-callers:
+gradients (``conv2d_*``, ``relu_maxpool2x2_*``, ``linear_*``,
+``softmax_cross_entropy_*``; the augmentation's ``ffa_forward``/
+``ffa_backward`` live in ``augment``). They have two callers:
 
 - ``net_forward`` and ``net_backward``, the array forward and the
   graph-free training chain. ``experiment.make_train_fn`` trains every
@@ -20,17 +20,19 @@ callers:
 - The autodiff ops ``conv2d``, ``relu_maxpool2x2``, ``maxpool2x2``,
   ``linear`` and ``softmax_cross_entropy``, one Tensor node per pair, and
   ``ConvNet.forward`` on top of them. The graph serves ``theory``, the
-  gradient checks and the tests' reference for the chain.
+  gradient checks and the tests' reference for the chain. The graph's
+  ``maxpool2x2`` runs the pool pair ``maxpool2x2_*`` on its own, for the
+  acceptance gate and the per-layer benchmark.
 
 Both callers run the same kernels, so the chain's loss and gradients are
 the graph's bit for bit (``net_backward`` says why the graph's gradient
 copies can be dropped).
 
-Evaluation (``predict``, which ``experiment.evaluate`` and
-``ConvNet.predict`` call) has a loop of its own, ``infer_logits``, on
-blocks of a few dozen samples (``inference_blocks``). It keeps nothing
-for a backward pass and gives the logits of ``net_forward`` bit for bit,
-so predictions equal the argmax of the training forward.
+Evaluation (``predict``, which ``experiment.evaluate`` calls) has a loop
+of its own, ``infer_logits``, on blocks of a few dozen samples
+(``inference_blocks``). It keeps nothing for a backward pass and gives
+the logits of ``net_forward`` bit for bit, so predictions equal the
+argmax of the training forward.
 
 The training kernels work in the memory order the conv matmul writes,
 NHWC, with im2col rows in (B, H, W) order, because the weight and bias
@@ -44,7 +46,7 @@ order; its docstring says how it stays bit-identical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,14 +294,6 @@ def relu_maxpool2x2_backward(g: np.ndarray, ctx) -> np.ndarray:
     return gz.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
 
-def relu_forward(z: np.ndarray):
-    return np.maximum(z, 0.0), z
-
-
-def relu_backward(g: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return g * (z > 0)
-
-
 def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """x: [B,D]; weight: [D,K]; bias: [K]."""
     if x.shape[1] != weight.shape[0]:
@@ -414,8 +408,7 @@ class StageSpec:
     ksize: int = 3
     stride: int = 1
     padding: int = 1
-    relu: bool = True
-    pool: bool = True
+    relu_pool: bool = True  # conv, relu, 2x2 max-pool; False: the bare conv
 
 
 @dataclass(frozen=True)
@@ -433,14 +426,14 @@ class NetSpec:
         for s in self.stages:
             size = (size + 2 * s.padding - s.ksize) // s.stride + 1
             sizes.append(size)
-            if s.pool:
+            if s.relu_pool:
                 size //= 2
         return tuple(sizes)
 
     @property
     def feature_dims(self) -> tuple[int, int]:
         last, size = self.stages[-1], self.conv_sizes[-1]
-        return last.out_ch, size // 2 if last.pool else size
+        return last.out_ch, size // 2 if last.relu_pool else size
 
     @property
     def im2col_bytes(self) -> int:
@@ -466,13 +459,6 @@ def default_net_spec(channels: int = 3, image_size: int = 8,
     )
 
 
-@dataclass
-class Tape:
-    """Forward record: the activation at each hook site."""
-
-    stage_outputs: list[Tensor] = field(default_factory=list)
-
-
 def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, Tensor]:
     """Kaiming-uniform fan-in init; biases zero. Ordered by layer."""
     params: dict[str, Tensor] = {}
@@ -489,14 +475,6 @@ def init_params(spec: NetSpec, rng: np.random.Generator) -> dict[str, Tensor]:
     params["head.weight"] = Tensor(rng.uniform(-bound, bound, size=(d, spec.classes)))
     params["head.bias"] = Tensor(np.zeros(spec.classes))
     return params
-
-
-# the kernel pair of a stage's relu and pool, by (relu, pool); neither: none
-_STAGE_OPS = {
-    (True, True): (relu_maxpool2x2_forward, relu_maxpool2x2_backward),
-    (False, True): (maxpool2x2_forward, maxpool2x2_backward),
-    (True, False): (relu_forward, relu_backward),
-}
 
 
 def _as_batch(x) -> np.ndarray:
@@ -526,15 +504,14 @@ def net_forward(spec: NetSpec, params: dict[str, np.ndarray], x: np.ndarray,
     for i, s in enumerate(spec.stages):
         out, conv = conv2d_forward(out, params[f"conv{i}.weight"],
                                    params[f"conv{i}.bias"], s.stride, s.padding)
-        op = _STAGE_OPS.get((s.relu, s.pool))
         act = hook = None
-        if op is not None:
-            out, act = op[0](out)
+        if s.relu_pool:
+            out, act = relu_maxpool2x2_forward(out)
         if hooks is not None and i < len(hooks) and hooks[i] is not None:
             out, back = hooks[i](out)
             hook = (back, out) if back is not None else None
         if tape is not None:
-            tape.append((conv, op, act, hook))
+            tape.append((conv, act, hook))
     logits, head = linear_forward(out.reshape(out.shape[0], -1),
                                   params["head.weight"], params["head.bias"])
     if tape is not None:
@@ -563,14 +540,14 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
     g = g.reshape(shape)
     grads = {}
     for i in range(len(stages) - 1, -1, -1):
-        conv, op, act, hook = stages[i]
+        conv, act, hook = stages[i]
         if hook is not None:
             back, out = hook
             if g.strides != out.strides:
                 g = np.add(g, 0.0, out=np.empty_like(out))
             g = back(g)
-        if op is not None:
-            g = op[1](g, act)
+        if act is not None:
+            g = relu_maxpool2x2_backward(g, act)
         g, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = conv2d_backward(
             g, conv, input_grad=i > 0)
     grads["head.weight"], grads["head.bias"] = head_w, head_b
@@ -607,7 +584,7 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     im2col matrix cols [C*kh*kw, positions*B]. The conv is ``W @ cols``,
     or ``net_forward``'s call on a C-ordered copy where
     ``_gemm_forms_agree`` finds that BLAS sums the two forms differently.
-    A stage that pools orders its positions by pool tap, so each channel's
+    A relu+pool stage orders its positions by pool tap, so each channel's
     row is four contiguous slabs, reduced max(acc, next) in reverse tap
     order, as ``_pool_max`` folds them, into the next stage's rows. The
     bias is added after the pool: rounding is monotone, so
@@ -624,7 +601,7 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
         weight, bias = params[f"conv{i}.weight"], params[f"conv{i}.bias"]
         cout, kh, kw = _conv_shape(c, weight)
         idx, h, w = _im2col_index(c, h, w, kh, kw, s.stride, s.padding,
-                                  tap_major=s.pool, k_major=True)
+                                  tap_major=s.relu_pool, k_major=True)
         # probed before the gather: the probe's draws and cols are never
         # live at once, which keeps a block's peak memory down
         agree = _gemm_forms_agree(c * kh * kw, cout, h * w * b)
@@ -632,17 +609,16 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
         wm = weight.reshape(cout, -1)
         act = wm @ cols if agree else (np.ascontiguousarray(cols.T) @ wm.T).T
         c = cout
-        if s.pool:
+        if s.relu_pool:
             h, w = h // 2, w // 2
         rows = np.empty((c * h * w + 1, b))
         feats = rows[:-1].reshape(c, -1)
-        if s.pool:
+        if s.relu_pool:
             np.maximum.reduce(act.reshape(c, 4, -1)[:, ::-1], axis=1, out=feats)
-        else:
-            feats[...] = act
-        np.add(feats, bias[:, np.newaxis], out=feats)
-        if s.relu:
+            np.add(feats, bias[:, np.newaxis], out=feats)
             np.maximum(feats, 0.0, out=feats)
+        else:
+            np.add(act, bias[:, np.newaxis], out=feats)
     head_rows = np.ascontiguousarray(rows[:-1].T)
     return linear_forward(head_rows, params["head.weight"], params["head.bias"])[0]
 
@@ -686,16 +662,17 @@ class ConvNet:
         self.spec = spec
         self.params = params
 
-    def forward(self, x: Tensor, hooks=None) -> tuple[Tensor, Tape]:
-        """Run the network. hooks is a list of callables (one per stage,
-        entries may be None); each takes and returns the stage activation."""
+    def forward(self, x: Tensor, hooks=None) -> tuple[Tensor, list[Tensor]]:
+        """The logits and each stage's output, the activation a hook sees.
+        hooks is a list of callables (one per stage, entries may be None);
+        each takes and returns the stage activation."""
         if x.data.ndim != 4:
             raise ValueError(f"expected input [B,C,H,W], got shape {x.shape}")
         if hooks is not None and len(hooks) > len(self.spec.stages):
             raise ValueError(
                 f"{len(hooks)} hooks for {len(self.spec.stages)} stages"
             )
-        tape = Tape()
+        stage_outputs = []
         # the input is a constant: the first conv computes no gradient for it
         out = x.data
         for i, s in enumerate(self.spec.stages):
@@ -706,21 +683,12 @@ class ConvNet:
                 stride=s.stride,
                 padding=s.padding,
             )
-            if s.relu and s.pool:
+            if s.relu_pool:
                 out = relu_maxpool2x2(out)
-            elif s.relu:
-                out = out.relu()
-            elif s.pool:
-                out = maxpool2x2(out)
-            tape.stage_outputs.append(out)
+            stage_outputs.append(out)
             if hooks is not None and i < len(hooks) and hooks[i] is not None:
                 out = hooks[i](out)
         b = out.shape[0]
         flat = out.reshape(b, -1)
         logits = linear(flat, self.params["head.weight"], self.params["head.bias"])
-        return logits, tape
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted class per sample, without building an autodiff graph."""
-        params = {k: p.data for k, p in self.params.items()}
-        return predict(self.spec, params, x)
+        return logits, stage_outputs

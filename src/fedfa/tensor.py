@@ -33,14 +33,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Node in the autodiff graph. ``data`` is always float64."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, parents=(), name: str | None = None):
+    def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = tuple(parents)
         self._backward = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -221,7 +220,7 @@ class Tensor:
         return self.matmul(other)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, name={self.name!r})"
+        return f"Tensor(shape={self.shape})"
 
 
 def kernel_node(data: np.ndarray, parents, grads) -> Tensor:

@@ -45,7 +45,7 @@ def _loss(logits: Tensor, y: np.ndarray, kind: str) -> Tensor:
         return softmax_cross_entropy(logits, y)
     if kind == "linear":
         # linear functional of the logits; keeps the whole map affine in
-        # the injected noise when the net has no relu/pool stages
+        # the injected noise when every stage is a bare conv
         return logits.sum() * (1.0 / logits.shape[0])
     raise ValueError(f"unknown loss kind {kind!r}")
 
@@ -53,10 +53,10 @@ def _loss(logits: Tensor, y: np.ndarray, kind: str) -> Tensor:
 def site_gradients(net: ConvNet, x: np.ndarray, y: np.ndarray,
                    loss_kind: str = "cross_entropy"):
     """Clean loss and its gradients at every stage output."""
-    logits, tape = net.forward(Tensor(x))
+    logits, stage_outputs = net.forward(Tensor(x))
     loss = _loss(logits, y, loss_kind)
     loss.backward()
-    grads = [t.grad for t in tape.stage_outputs]
+    grads = [t.grad for t in stage_outputs]
     return float(loss.data), grads
 
 
@@ -69,20 +69,20 @@ def noised_loss(net: ConvNet, x: np.ndarray, y: np.ndarray,
     return float(_loss(logits, y, loss_kind).data)
 
 
-def ffa_noise_source(net: ConvNet, x: np.ndarray, seed: int = 0,
-                     eps_var: float = 1e-6) -> list[np.ndarray]:
+def ffa_noise_source(net: ConvNet, x: np.ndarray,
+                     seed: int = 0) -> list[np.ndarray]:
     """Unit-scale augmentation noise for every stage, frozen as arrays.
 
     Uses the batch's own statistic variances as the budget, i.e. the
     client-only variant, evaluated at the clean activations.
     """
-    _, tape = net.forward(Tensor(x))
+    _, stage_outputs = net.forward(Tensor(x))
     noises = []
-    for k, t in enumerate(tape.stage_outputs):
+    for k, t in enumerate(stage_outputs):
         act = t.data
-        fused = batch_variances(channel_stats(act, eps_var=eps_var))
+        fused = batch_variances(channel_stats(act))
         eps = draw_eps(stream(seed, "noise", k), *act.shape[:2])
-        noises.append(noise_view(act, fused, eps, eps_var=eps_var))
+        noises.append(noise_view(act, fused, eps))
     return noises
 
 
@@ -141,8 +141,8 @@ def reference_check(seed: int = 0, batch_size: int = 16,
 def linear_check(seed: int = 0, batch_size: int = 8) -> TheoryCheckReport:
     """Fully affine pipeline: the expansion is exact, residuals at float noise."""
     spec = NetSpec(
-        stages=(StageSpec(3, 4, relu=False, pool=False),
-                StageSpec(4, 4, relu=False, pool=False)),
+        stages=(StageSpec(3, 4, relu_pool=False),
+                StageSpec(4, 4, relu_pool=False)),
         image_size=8, classes=5,
     )
     net = ConvNet(spec, init_params(spec, stream(seed, "init")))

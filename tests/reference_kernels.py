@@ -18,6 +18,10 @@ swaps all of them into the library, the two forward kernels, the training
 step and ``evaluate`` included, so training runs on the graph and
 evaluation on the reference forward kernels without blocks;
 runs with and without them must agree bit for bit.
+
+``class_templates`` draws each class's template parameters channel by
+channel with ``rng.uniform``, one small map at a time; ``install`` leaves
+``data`` alone.
 """
 
 import importlib
@@ -30,6 +34,23 @@ from fedfa.tensor import Tensor
 
 # the module: the package name fedfa.augment is the function
 augment = importlib.import_module("fedfa.augment")
+
+
+def class_templates(spec, rng):
+    size = spec.image_size
+    yy, xx = np.mgrid[0:size, 0:size] / max(size - 1, 1)
+    templates = np.zeros((spec.classes, spec.channels, size, size))
+    for k in range(spec.classes):
+        for c in range(spec.channels):
+            cy, cx = rng.uniform(0.15, 0.85, size=2)
+            width = rng.uniform(0.12, 0.3)
+            amp = rng.uniform(0.8, 1.6)
+            bump = amp * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * width ** 2))
+            fy, fx = rng.uniform(0.5, 2.5, size=2)
+            phase = rng.uniform(0, 2 * np.pi)
+            grating = 0.6 * np.sin(2 * np.pi * (fy * yy + fx * xx) + phase)
+            templates[k, c] = bump + grating
+    return templates
 
 
 def conv_forward(x, weight, bias, stride, padding):

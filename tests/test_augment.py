@@ -192,8 +192,6 @@ def test_augment_gate_closed_paths():
     fused = np.ones((2, 2))
     out, used = augment(x, fused, FfaConfig(p=0.0), rng)
     assert out is x and used is None
-    out, used = augment(x, fused, FfaConfig(p=1.0), rng, training=False)
-    assert out is x and used is None
 
 
 def test_augment_p_one_always_fires():

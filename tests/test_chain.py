@@ -142,14 +142,19 @@ def test_zero_weight_loss_leaves_no_negative_zero(b):
     assert_same_bits(grads["head.bias"], want["head.bias"])
 
 
+@pytest.mark.parametrize("image_size", [4, 8, 16])
 @pytest.mark.parametrize("stages", [
-    (StageSpec(3, 4, pool=False), StageSpec(4, 5, relu=False)),
-    (StageSpec(3, 4, relu=False, pool=False), StageSpec(4, 4, stride=2)),
-], ids=["relu_only-pool_only", "bare-strided"])
-def test_other_stage_kinds_match_graph(stages):
-    spec = NetSpec(stages=stages, image_size=8, classes=3)
+    (StageSpec(3, 4), StageSpec(4, 5)),
+    (StageSpec(3, 4), StageSpec(4, 5, relu_pool=False)),
+    (StageSpec(3, 4, relu_pool=False), StageSpec(4, 5)),
+    (StageSpec(3, 4, relu_pool=False), StageSpec(4, 5, relu_pool=False)),
+    (StageSpec(3, 4, relu_pool=False), StageSpec(4, 4, stride=2)),
+], ids=["relu_pool-relu_pool", "relu_pool-bare", "bare-relu_pool", "bare-bare",
+        "bare-strided"])
+def test_other_stage_kinds_match_graph(stages, image_size):
+    spec = NetSpec(stages=stages, image_size=image_size, classes=3)
     params = {k: t.data for k, t in init_params(spec, stream(7, "init")).items()}
-    x, _ = batch(17, 50)
+    x = np.random.default_rng(50).standard_normal((17, 3, image_size, image_size))
     targets = ((np.arange(17) % 3, 1.0),)
     loss, grads = experiment.batch_grads(spec, params, x, targets)
     want_loss, want = reference_kernels.batch_grads(spec, params, x, targets)

@@ -11,6 +11,8 @@ from fedfa.data import (TaskSpec, dirichlet_partition, make_base_sampler,
 from fedfa.experiment import build_dataset
 from fedfa.rng import stream
 
+import reference_kernels
+
 SPEC = TaskSpec(classes=4, image_size=6, channels=2, noise=0.2)
 
 
@@ -40,6 +42,20 @@ def test_base_sampler_deterministic():
     x1, y1 = _pool(20, seed=5)
     x2, y2 = _pool(20, seed=5)
     assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
+
+
+@pytest.mark.parametrize("spec", [
+    TaskSpec(), SPEC, TaskSpec(classes=2, image_size=1, channels=1),
+    TaskSpec(classes=10, image_size=16, channels=4),
+    TaskSpec(classes=8, image_size=5, channels=3),
+], ids=["default", "small", "1x1", "16x16", "5x5"])
+def test_class_templates_equal_the_per_channel_draws(spec):
+    for seed in range(6):
+        got = data.class_templates(spec, stream(seed, "data", 0))
+        want = reference_kernels.class_templates(spec, stream(seed, "data", 0))
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_base_sampler_class_separation():
@@ -91,7 +107,7 @@ def test_feature_shift_clients_differ():
 def test_feature_shift_sizes_and_classes():
     base = make_base_sampler(SPEC, 1)
     ds = make_feature_shift(base, m=2, shift_strength=0.3, seed=1,
-                            train_per_client=12, test_per_client=5, classes=4)
+                            train_per_client=12, test_per_client=5)
     assert ds.classes == 4
     for c in ds.clients:
         assert c.x_train.shape[0] == 12
@@ -110,7 +126,8 @@ def test_feature_shift_validation():
 
 def test_dirichlet_partition_covers_pool():
     y = _labels(400)
-    part = dirichlet_partition(y, m=5, concentration=0.5, seed=0)
+    part = dirichlet_partition(y, m=5, concentration=0.5, seed=0,
+                               classes=SPEC.classes)
     total = sum(rows.size for rows in part.rows)
     assert total == 400
     assert part.metadata["sizes"] == [rows.size for rows in part.rows]
@@ -129,14 +146,17 @@ def test_dirichlet_skew_grows_as_concentration_shrinks():
             tv.append(0.5 * np.abs(hist - uniform).sum())
         return np.mean(tv)
 
-    sharp = mean_tv(dirichlet_partition(y, 10, concentration=0.3, seed=0))
-    flat = mean_tv(dirichlet_partition(y, 10, concentration=100.0, seed=0))
+    sharp = mean_tv(dirichlet_partition(y, 10, concentration=0.3, seed=0,
+                                        classes=SPEC.classes))
+    flat = mean_tv(dirichlet_partition(y, 10, concentration=100.0, seed=0,
+                                       classes=SPEC.classes))
     assert sharp > flat + 0.1
 
 
 def test_dirichlet_partition_is_a_partition():
     y = _labels(300)
-    part = dirichlet_partition(y, m=4, concentration=1.0, seed=2)
+    part = dirichlet_partition(y, m=4, concentration=1.0, seed=2,
+                               classes=SPEC.classes)
     rows = np.concatenate(part.rows)
     assert rows.shape[0] == 300
     assert np.array_equal(np.sort(rows), np.arange(300))
@@ -145,27 +165,27 @@ def test_dirichlet_partition_is_a_partition():
 def test_dirichlet_validation():
     y = _labels(10)
     with pytest.raises(ValueError, match="positive"):
-        dirichlet_partition(y, 2, concentration=0.0, seed=0)
+        dirichlet_partition(y, 2, concentration=0.0, seed=0, classes=SPEC.classes)
     with pytest.raises(ValueError, match="cannot cover"):
-        dirichlet_partition(y[:3], 5, concentration=1.0, seed=0)
+        dirichlet_partition(y[:3], 5, concentration=1.0, seed=0, classes=SPEC.classes)
 
 
 # --------------------------------------------------------------- size skew
 
 def test_size_skew_unit_ratio_balanced():
-    part = size_skew(_labels(400), m=4, ratio=1.0, seed=0)
+    part = size_skew(_labels(400), m=4, ratio=1.0, seed=0, classes=SPEC.classes)
     sizes = part.metadata["sizes"]
     assert sum(sizes) == 400
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_size_skew_reference_sizes():
-    part = size_skew(_labels(1000), m=4, ratio=8.0, seed=0)
+    part = size_skew(_labels(1000), m=4, ratio=8.0, seed=0, classes=SPEC.classes)
     assert part.metadata["sizes"] == [67, 133, 267, 533]
 
 
 def test_size_skew_ratio_respected():
-    part = size_skew(_labels(600), m=3, ratio=4.0, seed=1)
+    part = size_skew(_labels(600), m=3, ratio=4.0, seed=1, classes=SPEC.classes)
     sizes = part.metadata["sizes"]
     assert max(sizes) / min(sizes) == pytest.approx(4.0, rel=0.1)
 
@@ -173,9 +193,9 @@ def test_size_skew_ratio_respected():
 def test_size_skew_validation():
     y = _labels(40)
     with pytest.raises(ValueError, match=">= 1"):
-        size_skew(y, 2, ratio=0.5, seed=0)
+        size_skew(y, 2, ratio=0.5, seed=0, classes=SPEC.classes)
     with pytest.raises(ValueError, match="smallest client"):
-        size_skew(y, 4, ratio=1000.0, seed=0)
+        size_skew(y, 4, ratio=1000.0, seed=0, classes=SPEC.classes)
 
 
 # ------------------------------------------------------ in-place building
@@ -210,9 +230,10 @@ def test_partition_dataset_equals_pool_then_copy(kind, chunk_bytes, monkeypatch)
     base = make_base_sampler(SPEC, 6)
     x, y = base(301, stream(6, "data", 99))
     if kind == "dirichlet":
-        part = dirichlet_partition(y, 4, concentration=0.5, seed=6)
+        part = dirichlet_partition(y, 4, concentration=0.5, seed=6,
+                                   classes=SPEC.classes)
     else:
-        part = size_skew(y, 4, ratio=3.0, seed=6)
+        part = size_skew(y, 4, ratio=3.0, seed=6, classes=SPEC.classes)
     rng = stream(6, "data", 99)
     assert np.array_equal(base.labels(301, rng), y)
     ds = partition_dataset(base, y, part, rng)
@@ -226,7 +247,7 @@ def test_partition_dataset_equals_pool_then_copy(kind, chunk_bytes, monkeypatch)
 
 def test_partition_dataset_rejects_another_pool():
     y = _labels(40)
-    part = size_skew(y[:30], 2, ratio=1.0, seed=0)
+    part = size_skew(y[:30], 2, ratio=1.0, seed=0, classes=SPEC.classes)
     with pytest.raises(ValueError, match="30 rows of a 40-row pool"):
         partition_dataset(make_base_sampler(SPEC, 0), y, part, stream(0, "data", 99))
 

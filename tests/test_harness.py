@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fedfa import checkpoint, experiment, layers
-from fedfa.cli import compare, main, paired_summary
+from fedfa.cli import PAIRS, compare, main, paired_summary
 from fedfa.config import ALGORITHMS, DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, evaluate, leave_one_out,
                               mixup_batch, run_experiment)
@@ -447,8 +447,8 @@ def test_theory_flags_nonfinite_loss():
     net = ConvNet(spec, init_params(spec, stream(0, "init")))
     x = np.random.default_rng(0).standard_normal((2, 2, 4, 4))
     y = np.zeros(2, dtype=int)
-    _, tape = net.forward(Tensor(x))
-    bad = np.full_like(tape.stage_outputs[0].data, np.inf)
+    _, stage_outputs = net.forward(Tensor(x))
+    bad = np.full_like(stage_outputs[0].data, np.inf)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                   match="noise scale"):
         theory_check(net, (x, y), [bad, None], [0.5])
@@ -580,14 +580,19 @@ def test_cli_sweep_no_match(tmp_path, capsys):
     assert "no configs match" in capsys.readouterr().err
 
 
-def test_compare_json_identical_across_reruns_and_workers(tmp_path):
+def test_compare_json_identical_across_reruns_and_workers(tmp_path, capsys):
     base = tiny_cfg(clients=4, rounds=2)
+    base.to_json(tmp_path / "base.json")
     blobs = set()
-    for run in ("a", "b"):
-        for workers in (1, 2):
-            root = tmp_path / f"{run}{workers}"
-            result = compare(base, 2, workers=workers, run_root=root)
-            blobs.add((root / "compare.json").read_bytes())
+    for workers in (1, 2):
+        # the rerun reads base from its config file, through the command line
+        assert main(["compare", str(tmp_path / "base.json"), "--seeds", "2",
+                     "--workers", str(workers),
+                     "--run-root", str(tmp_path / f"cli{workers}")]) == 0
+        blobs.add((tmp_path / f"cli{workers}" / "compare.json").read_bytes())
+        root = tmp_path / f"api{workers}"
+        result = compare(base, 2, workers=workers, run_root=root)
+        blobs.add((root / "compare.json").read_bytes())
     assert len(blobs) == 1
     assert sorted(os.listdir(root)) == sorted(
         ["compare.json"] + [f"{a}_seed{s}" for a in ALGORITHMS for s in (0, 1)])
@@ -598,12 +603,61 @@ def test_compare_json_identical_across_reruns_and_workers(tmp_path):
         fedfa0 = json.loads(f.readlines()[-1])["mean_test_acc"]
     diff = result["paired"]["fedfa - fedavg"]["differences"][0]
     assert diff == fedfa0 - result["final_acc"]["fedavg"][0]
+    assert set(result["paired"]) == set(PAIRS)
+    acc = result["final_acc"]
+    assert result["paired"]["fedfa - fedfa-c"]["differences"] == [
+        a - c for a, c in zip(acc["fedfa"], acc["fedfa-c"])]
+
+
+BAD_CONFIGS = {  # id: (file text, or None for no file; the reason printed)
+    "string-for-int": ('{"rounds": "3"}', 'rounds: expected an integer, got "3"'),
+    "array": ("[1, 2]", "expected a JSON object, got [1, 2]"),
+    "unknown-key": ('{"lrate": 0.1}', "unknown experiment config keys: ['lrate']"),
+    "missing-file": (None, "No such file or directory"),
+    "bool-for-float": ('{"lr": true}', "lr: expected a number, got true"),
+    "int-for-name": ('{"run_name": 3}', "run_name: expected a string or null, got 3"),
+    "array-for-dataset": ('{"dataset": [8]}', "dataset: expected an object, got [8]"),
+    "float-for-dataset-int": ('{"dataset": {"classes": 2.5}}',
+                              "dataset.classes: expected an integer, got 2.5"),
+    "invalid-value": ('{"rounds": -1}', "rounds must be nonnegative"),
+    "not-json": ('{"rounds": }', "Expecting value: line 1 column 12 (char 11)"),
+}
+
+
+# a sweep glob that matches no file is sweep's own error, tested above
+@pytest.mark.parametrize("command,case", [
+    (command, case) for command in ("run", "sweep", "compare")
+    for case, (text, _) in BAD_CONFIGS.items()
+    if text is not None or command != "sweep"])
+def test_cli_names_the_config_and_its_fault(command, case, tmp_path, capsys):
+    text, reason = BAD_CONFIGS[case]
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, str(path), "--run-root", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {reason}\n"
+    assert not os.path.exists(tmp_path / "runs")  # rejected before any run
 
 
 def test_compare_needs_two_seeds(tmp_path):
     with pytest.raises(ValueError, match="at least 2 seeds, got 1"):
         compare(tiny_cfg(), 1, run_root=tmp_path)
     assert not os.listdir(tmp_path)
+
+
+def test_compare_needs_the_held_out_client(tmp_path, capsys):
+    # client 3 is held out, so a 3-client config fails before any run
+    reason = "compare holds out client 3, so it needs at least 4 clients, got 3"
+    cfg = tiny_cfg(clients=3)
+    with pytest.raises(ValueError, match=reason):
+        compare(cfg, 2, run_root=tmp_path / "runs")
+    cfg.to_json(tmp_path / "cfg.json")
+    assert main(["compare", str(tmp_path / "cfg.json"),
+                 "--run-root", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == f"{tmp_path / 'cfg.json'}: {reason}\n"
+    assert not os.path.exists(tmp_path / "runs")
 
 
 @pytest.mark.parametrize("argv,error", [

@@ -292,9 +292,10 @@ def test_relu_after_pool_bit_identical_to_relu_before(batch):
 
 @pytest.mark.parametrize("spec", [
     default_net_spec(),
-    NetSpec(stages=(StageSpec(3, 4, relu=False), StageSpec(4, 6, relu=False)),
+    NetSpec(stages=(StageSpec(3, 4, relu_pool=False),
+                    StageSpec(4, 6, relu_pool=False)),
             image_size=8, classes=5),
-], ids=["default", "pool_only"])
+], ids=["default", "bare"])
 def test_infer_logits_bit_identical_to_reference_kernels(spec, monkeypatch):
     rng = np.random.default_rng(41)
     params = {k: p.data for k, p in init_params(spec, stream(41, "init")).items()}
@@ -327,7 +328,8 @@ def head_inputs(monkeypatch, forward):
     return out, feats
 
 
-STAGE_OPS = [(True, True), (False, True), (True, False), (False, False)]
+# each stage conv+relu+pool (True) or the bare conv (False)
+STAGE_KINDS = [(True, True), (True, False), (False, True), (False, False)]
 # stage 0 gathers K = 4*3*3 = 36 >= 32 values per row, where OpenBLAS has a
 # small-matrix kernel
 K36_SPEC = NetSpec(stages=(StageSpec(4, 8), StageSpec(8, 16)), image_size=8,
@@ -346,23 +348,23 @@ def signed_zero_net(spec, batch, rng):
 
 
 @pytest.mark.parametrize("spec", [
-    *(NetSpec(stages=(StageSpec(3, 4, relu=r0, pool=p0),
-                      StageSpec(4, 5, relu=r1, pool=p1)),
-              image_size=8, classes=5)
-      for r0, p0 in STAGE_OPS for r1, p1 in STAGE_OPS),
+    *(NetSpec(stages=(StageSpec(3, 4, relu_pool=k0),
+                      StageSpec(4, 5, relu_pool=k1)),
+              image_size=size, classes=5)
+      for k0, k1 in STAGE_KINDS for size in (4, 8, 16)),
     NetSpec(stages=(StageSpec(3, 4, ksize=5, padding=2),
                     StageSpec(4, 6, ksize=1, padding=0)),
             image_size=8, classes=5),
     NetSpec(stages=(StageSpec(3, 4, stride=2, padding=0),
-                    StageSpec(4, 5, ksize=1, padding=0, pool=False)),
+                    StageSpec(4, 5, ksize=1, padding=0, relu_pool=False)),
             image_size=9, classes=5),
     NetSpec(stages=(StageSpec(3, 4, ksize=5, stride=2, padding=0),
-                    StageSpec(4, 5, relu=False)),
+                    StageSpec(4, 5, relu_pool=False)),
             image_size=19, classes=5),
     K36_SPEC,
     NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 1)), image_size=8, classes=5),
-], ids=[*(f"relu{r0:d}pool{p0:d}-relu{r1:d}pool{p1:d}"
-          for r0, p0 in STAGE_OPS for r1, p1 in STAGE_OPS),
+], ids=[*(f"relu_pool{k0:d}-relu_pool{k1:d}-{size}x{size}"
+          for k0, k1 in STAGE_KINDS for size in (4, 8, 16)),
         "k5pad2-k1pad0", "stride2pad0-k1", "k5stride2pad0-k3", "k36", "cout1"])
 @pytest.mark.parametrize("batch", [1, 17, 151, 152])
 def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
@@ -436,14 +438,12 @@ def test_gemm_probe_sees_differences_few_outputs_hide(k):
         assert layers._gemm_forms_agree(k, 1, m) == agree, m
 
 
-@pytest.mark.parametrize("relu", [True, False])
-def test_infer_logits_bias_after_pool_keeps_ties_and_zero_signs(relu,
-                                                                monkeypatch):
+def test_infer_logits_bias_after_pool_keeps_ties_and_zero_signs(monkeypatch):
     # a 1x1 conv of weight 1, so before its bias the conv output is the
     # input (with -0.0 read as +0.0, as BLAS sums from +0.0): windows of
     # tiny distinct values tie only once a bias of +-1 is added, and zero
     # maxima meet zero biases of both signs
-    spec = NetSpec(stages=(StageSpec(1, 1, ksize=1, padding=0, relu=relu),),
+    spec = NetSpec(stages=(StageSpec(1, 1, ksize=1, padding=0),),
                    image_size=16, classes=3)
     rng = np.random.default_rng(43)
     x = rng.choice([-0.0, 0.0, 1e-17, 2e-17, -1e-17, -1.0, 1.0],
@@ -626,9 +626,9 @@ def test_convnet_forward_shapes_and_tape():
     spec = default_net_spec(channels=3, image_size=8, classes=6)
     net = ConvNet(spec, init_params(spec, stream(0, "init")))
     x = np.random.default_rng(0).standard_normal((4, 3, 8, 8))
-    logits, tape = net.forward(Tensor(x))
+    logits, stage_outputs = net.forward(Tensor(x))
     assert logits.shape == (4, 6)
-    assert [t.shape for t in tape.stage_outputs] == [(4, 8, 4, 4), (4, 16, 2, 2)]
+    assert [t.shape for t in stage_outputs] == [(4, 8, 4, 4), (4, 16, 2, 2)]
 
 
 def test_convnet_hooks_called_in_order():
@@ -675,8 +675,7 @@ def test_empty_batch_is_named_in_the_error():
     arrays = {k: p.data for k, p in params.items()}
     empty = np.zeros((0, 3, 8, 8))
     for call in (lambda: net_forward(spec, arrays, empty),
-                 lambda: predict(spec, arrays, empty),
-                 lambda: ConvNet(spec, params).predict(empty)):
+                 lambda: predict(spec, arrays, empty)):
         with pytest.raises(ValueError, match="the batch is empty"):
             call()
 
@@ -692,7 +691,7 @@ def test_feature_dims_account_for_pooling():
     spec = NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 8)),
                    image_size=16, classes=5)
     assert spec.feature_dims == (8, 4)
-    nopool = NetSpec(stages=(StageSpec(3, 4, pool=False),),
+    nopool = NetSpec(stages=(StageSpec(3, 4, relu_pool=False),),
                      image_size=8, classes=5)
     assert nopool.feature_dims == (4, 8)
 
@@ -724,7 +723,7 @@ def test_predict_matches_autodiff_forward_exactly(batch):
     logits, _ = net.forward(Tensor(x))
     arrays = {k: p.data for k, p in params.items()}
     assert np.array_equal(infer_logits(spec, arrays, x), logits.data)
-    assert np.array_equal(net.predict(x), logits.data.argmax(axis=1))
+    assert np.array_equal(predict(spec, arrays, x), logits.data.argmax(axis=1))
 
 
 @pytest.mark.parametrize("image_size,cap", [(8, 37), (16, 9)])
@@ -772,7 +771,8 @@ def test_a_set_within_the_cap_is_one_call(monkeypatch):
 
 
 def test_infer_logits_without_pool_matches_forward():
-    spec = NetSpec(stages=(StageSpec(3, 4, pool=False), StageSpec(4, 5, stride=2)),
+    spec = NetSpec(stages=(StageSpec(3, 4, relu_pool=False),
+                           StageSpec(4, 5, stride=2)),
                    image_size=8, classes=3)
     params = init_params(spec, stream(6, "init"))
     x = np.random.default_rng(7).standard_normal((4, 3, 8, 8))
