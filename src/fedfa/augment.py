@@ -40,7 +40,6 @@ class FfaConfig:
     p: float = 0.5
     variant: str = "full"
     random_std: float = 0.5
-    eps_var: float = EPS_VAR
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -198,8 +197,8 @@ def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator, eps=None):
             return x, None
         eps = draw_eps(rng, x.shape[0], x.shape[1])
     if isinstance(x, Tensor):
-        return ffa_transform(x, fused, *eps, eps_var=cfg.eps_var), eps
-    out, ctx = ffa_forward(x, fused, eps, eps_var=cfg.eps_var)
+        return ffa_transform(x, fused, *eps), eps
+    out, ctx = ffa_forward(x, fused, eps)
     return out, functools.partial(ffa_backward, ctx=ctx)
 
 

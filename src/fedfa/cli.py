@@ -137,8 +137,8 @@ def compare(base: ExperimentConfig, seeds: int, workers=None,
                              for _ in range(seeds)] for a in ALGORITHMS},
            "held_out_acc": {a: [next(out)["held_out_acc"]
                                 for _ in range(seeds)] for a in held}}
-    result = {**acc, "rounds": base.rounds, "held_out_client": HELD_OUT,
-              "seeds": seeds, "paired": {
+    result = {**acc, "config": base.to_dict(), "rounds": base.rounds,
+              "held_out_client": HELD_OUT, "seeds": seeds, "paired": {
                   name: paired_summary(np.subtract(acc[t][a], acc[t][b]))
                   for name, (t, a, b) in PAIRS.items()}}
     with open(os.path.join(root, "compare.json"), "w") as f:
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run every config matching a glob")
     p.add_argument("config_glob")
     p.add_argument("--run-root", default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="parallel worker processes (default: one per config, "
                         "capped at cpu count)")
     p.set_defaults(fn=_cmd_sweep)
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "built-in defaults)")
     p.add_argument("--seeds", type=_int_at_least(2), default=20,
                    help="seeds 0..N-1, N >= 2 (default: 20)")
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="parallel worker processes (default: one per run, "
                         "capped at cpu count)")
     p.add_argument("--run-root", default=None)
@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="statistic-exchange bytes per client per round")
     p.add_argument("channels", type=_int_at_least(1), nargs="+",
                    help="channel count of each augmentation site")
-    p.add_argument("--bytes-per-value", type=int, default=4)
+    p.add_argument("--bytes-per-value", type=_int_at_least(1), default=4)
     p.set_defaults(fn=_cmd_commcost)
     return ap
 

@@ -19,7 +19,7 @@ sampling the whole pool at once and copying each client out of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class ClientData:
 class FederatedDataset:
     clients: list[ClientData]
     classes: int
-    metadata: dict = field(default_factory=dict)
 
 
 # per (class, channel), in draw order: the bump's centre (cy, cx), width
@@ -156,7 +155,6 @@ def make_feature_shift(base: BaseSampler, m: int, shift_strength: float, seed: i
     n = train_per_client + test_per_client
     x = base.empty(m * n)
     clients = []
-    shifts = []
     for i in range(m):
         rows = x[i * n:(i + 1) * n]
         rng = stream(seed, "data", i + 1)
@@ -167,13 +165,8 @@ def make_feature_shift(base: BaseSampler, m: int, shift_strength: float, seed: i
         b = rs.uniform(-shift_strength, shift_strength, size=rows.shape[1])
         rows *= a[None, :, None, None]
         rows += b[None, :, None, None]
-        shifts.append({"scale": a.tolist(), "offset": b.tolist()})
         clients.append(_split(rows, y, train_per_client))
-    return FederatedDataset(
-        clients=clients, classes=base.spec.classes,
-        metadata={"kind": "feature_shift", "seed": seed,
-                  "shift_strength": shift_strength, "shifts": shifts},
-    )
+    return FederatedDataset(clients=clients, classes=base.spec.classes)
 
 
 @dataclass(frozen=True)
@@ -187,11 +180,10 @@ class Partition:
     rows: list[np.ndarray]
     n_train: list[int]
     classes: int
-    metadata: dict
 
 
 def _partition(assignment: list[np.ndarray], classes: int, test_fraction: float,
-               seed: int, meta: dict) -> Partition:
+               seed: int) -> Partition:
     rows, n_train = [], []
     for i, idx in enumerate(assignment):
         rng = stream(seed, "shuffle", 10_000 + i)
@@ -200,9 +192,7 @@ def _partition(assignment: list[np.ndarray], classes: int, test_fraction: float,
         n_train.append(idx.size - n_test)
         if n_train[-1] < 1:
             raise ValueError(f"client {i} would have no training data")
-    meta = dict(meta)
-    meta["sizes"] = [int(a.size) for a in assignment]
-    return Partition(rows=rows, n_train=n_train, classes=classes, metadata=meta)
+    return Partition(rows=rows, n_train=n_train, classes=classes)
 
 
 def partition_dataset(base: BaseSampler, y: np.ndarray, part: Partition,
@@ -235,8 +225,7 @@ def partition_dataset(base: BaseSampler, y: np.ndarray, part: Partition,
         stop = start + idx.size
         clients.append(_split(x[start:stop], labels[start:stop], n_train))
         start = stop
-    return FederatedDataset(clients=clients, classes=part.classes,
-                            metadata=part.metadata)
+    return FederatedDataset(clients=clients, classes=part.classes)
 
 
 def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
@@ -264,10 +253,7 @@ def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
                 start += cnt
         assignment = [np.concatenate(b) if b else np.empty(0, dtype=int) for b in buckets]
         if all(a.size >= 2 for a in assignment):
-            return _partition(
-                assignment, classes, test_fraction, seed,
-                {"kind": "dirichlet", "seed": seed, "concentration": concentration},
-            )
+            return _partition(assignment, classes, test_fraction, seed)
     raise RuntimeError("could not draw a partition with all clients nonempty")
 
 
@@ -290,10 +276,7 @@ def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
     for cnt in counts:
         assignment.append(order[start:start + cnt])
         start += cnt
-    return _partition(
-        assignment, classes, test_fraction, seed,
-        {"kind": "size_skew", "seed": seed, "ratio": ratio},
-    )
+    return _partition(assignment, classes, test_fraction, seed)
 
 
 def _largest_remainder(quotas: np.ndarray) -> list[int]:

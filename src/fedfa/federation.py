@@ -145,6 +145,8 @@ def comm_cost(channels_per_ffa_layer, bytes_per_value: int) -> int:
     channels = list(channels_per_ffa_layer)
     if any(c <= 0 for c in channels):
         raise ValueError("channel counts must be positive")
+    if bytes_per_value < 1:
+        raise ValueError(f"bytes_per_value must be >= 1, got {bytes_per_value}")
     return 4 * sum(channels) * bytes_per_value
 
 

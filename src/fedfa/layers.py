@@ -1,10 +1,10 @@
 """Network layers and the small conv net used throughout the simulator.
 
 The feature extractor is a sequence of conv stages, each a conv followed
-by relu and 2x2 max-pool, or a bare conv (``StageSpec.relu_pool``). After
-each stage an optional per-stage hook runs, which is where stochastic
-feature augmentation plugs in. The classifier head is a single linear
-layer on the flattened final feature map.
+by relu and 2x2 max-pool (``StageSpec``). After each stage an optional
+per-stage hook runs, which is where stochastic feature augmentation plugs
+in. The classifier head is a single linear layer on the flattened final
+feature map.
 
 Every training op is a kernel pair on plain arrays: a forward kernel that
 returns its output and a backward context, and a backward kernel that
@@ -58,15 +58,13 @@ from .tensor import Tensor, kernel_node
 
 @functools.cache
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
-                  padding: int, tap_major: bool = False,
-                  k_major: bool = False) -> tuple[np.ndarray, int, int]:
+                  padding: int, infer: bool = False) -> tuple[np.ndarray, int, int]:
     """Flat gather index into C*H*W features in (C, H, W) order, plus one
     trailing zero; taps that fall in the padding point at the zero.
-    Ordered (Ho, Wo, C, kh, kw), or with tap_major (i, j, Ho/2, Wo/2, C,
-    kh, kw): output position (2p + i, 2q + j) is pool tap (i, j) of pooled
-    position (p, q). k_major moves the (C, kh, kw) axes to the front, the
-    order of a transposed im2col matrix. Read-only, because the cache
-    shares it."""
+    Ordered (Ho, Wo, C, kh, kw) for ``_im2col``, or for ``infer_logits``
+    (C, kh, kw, i, j, Ho/2, Wo/2), the order of a transposed im2col matrix
+    whose output position (2p + i, 2q + j) is pool tap (i, j) of pooled
+    position (p, q). Read-only, because the cache shares it."""
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -74,7 +72,7 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
             f"conv2d: {kh}x{kw} kernel does not fit a {h}x{w} input "
             f"with padding {padding}"
         )
-    if tap_major and (ho % 2 or wo % 2):
+    if infer and (ho % 2 or wo % 2):
         raise ValueError(f"maxpool2x2: spatial dims must be even, got {ho}x{wo}")
     rows = (np.arange(ho)[:, None, None, None, None] * stride
             + np.arange(kh)[:, None] - padding)
@@ -83,10 +81,8 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     chan = np.arange(c)[:, None, None]
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
     idx = np.where(inside, chan * (h * w) + rows * w + cols, c * h * w)
-    if tap_major:
-        idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(1, 3, 0, 2, 4)
-    if k_major:
-        idx = idx.reshape(-1, c * kh * kw).T
+    if infer:
+        idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(4, 1, 3, 0, 2)
     idx = idx.ravel()
     idx.flags.writeable = False
     return idx, ho, wo
@@ -403,17 +399,21 @@ def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = 1e-6):
 
 @dataclass(frozen=True)
 class StageSpec:
+    """One conv stage: a ksize x ksize conv from in_ch to out_ch channels,
+    then relu and 2x2 max-pool, so the conv output's sides must be even."""
+
     in_ch: int
     out_ch: int
     ksize: int = 3
     stride: int = 1
     padding: int = 1
-    relu_pool: bool = True  # conv, relu, 2x2 max-pool; False: the bare conv
 
 
 @dataclass(frozen=True)
 class NetSpec:
-    """Architecture of the desk-scale classifier."""
+    """Architecture of the desk-scale classifier: conv stages on a square
+    image_size input, then a linear head from the last stage's flattened
+    pooled output to classes logits."""
 
     stages: tuple[StageSpec, ...]
     image_size: int
@@ -426,14 +426,13 @@ class NetSpec:
         for s in self.stages:
             size = (size + 2 * s.padding - s.ksize) // s.stride + 1
             sizes.append(size)
-            if s.relu_pool:
-                size //= 2
+            size //= 2
         return tuple(sizes)
 
     @property
     def feature_dims(self) -> tuple[int, int]:
-        last, size = self.stages[-1], self.conv_sizes[-1]
-        return last.out_ch, size // 2 if last.relu_pool else size
+        """Channels and side of the last stage's pooled output."""
+        return self.stages[-1].out_ch, self.conv_sizes[-1] // 2
 
     @property
     def im2col_bytes(self) -> int:
@@ -504,9 +503,8 @@ def net_forward(spec: NetSpec, params: dict[str, np.ndarray], x: np.ndarray,
     for i, s in enumerate(spec.stages):
         out, conv = conv2d_forward(out, params[f"conv{i}.weight"],
                                    params[f"conv{i}.bias"], s.stride, s.padding)
-        act = hook = None
-        if s.relu_pool:
-            out, act = relu_maxpool2x2_forward(out)
+        out, act = relu_maxpool2x2_forward(out)
+        hook = None
         if hooks is not None and i < len(hooks) and hooks[i] is not None:
             out, back = hooks[i](out)
             hook = (back, out) if back is not None else None
@@ -530,10 +528,10 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
     turns -0.0 into +0.0, and the sign of a zero cannot reach a parameter:
     every parameter gradient is a numpy sum or a BLAS matmul, both of which
     start from +0.0 (tests/test_chain.py checks the sign bits), and no
-    backward kernel divides by a gradient or branches on its sign. The layout matters only where a kernel reduces over its
-    gradient in memory order, the hook's transform; there the chain
-    restores the layout of the hook's output, which the conv backward's
-    NHWC col2im does not have.
+    backward kernel divides by a gradient or branches on its sign. The
+    layout matters only where a kernel reduces over its gradient in memory
+    order, the hook's transform; there the chain restores the layout of
+    the hook's output, which the conv backward's NHWC col2im does not have.
     """
     *stages, (head, shape) = tape
     g, head_w, head_b = linear_backward(g, head)
@@ -546,8 +544,7 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
             if g.strides != out.strides:
                 g = np.add(g, 0.0, out=np.empty_like(out))
             g = back(g)
-        if act is not None:
-            g = relu_maxpool2x2_backward(g, act)
+        g = relu_maxpool2x2_backward(g, act)
         g, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = conv2d_backward(
             g, conv, input_grad=i > 0)
     grads["head.weight"], grads["head.bias"] = head_w, head_b
@@ -584,10 +581,10 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     im2col matrix cols [C*kh*kw, positions*B]. The conv is ``W @ cols``,
     or ``net_forward``'s call on a C-ordered copy where
     ``_gemm_forms_agree`` finds that BLAS sums the two forms differently.
-    A relu+pool stage orders its positions by pool tap, so each channel's
-    row is four contiguous slabs, reduced max(acc, next) in reverse tap
-    order, as ``_pool_max`` folds them, into the next stage's rows. The
-    bias is added after the pool: rounding is monotone, so
+    The positions are ordered by pool tap, so each channel's row is four
+    contiguous slabs, reduced max(acc, next) in reverse tap order, as
+    ``_pool_max`` folds them, into the next stage's rows. The bias is
+    added after the pool: rounding is monotone, so
     max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max keeps its sign
     (fl(z + b) is -0.0 only for z = b = -0.0). Then relu; the head gets
     the last rows as C-ordered [B, C*H*W].
@@ -601,24 +598,19 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
         weight, bias = params[f"conv{i}.weight"], params[f"conv{i}.bias"]
         cout, kh, kw = _conv_shape(c, weight)
         idx, h, w = _im2col_index(c, h, w, kh, kw, s.stride, s.padding,
-                                  tap_major=s.relu_pool, k_major=True)
+                                  infer=True)
         # probed before the gather: the probe's draws and cols are never
         # live at once, which keeps a block's peak memory down
         agree = _gemm_forms_agree(c * kh * kw, cout, h * w * b)
         cols = np.take(rows, idx, axis=0).reshape(c * kh * kw, -1)
         wm = weight.reshape(cout, -1)
         act = wm @ cols if agree else (np.ascontiguousarray(cols.T) @ wm.T).T
-        c = cout
-        if s.relu_pool:
-            h, w = h // 2, w // 2
+        c, h, w = cout, h // 2, w // 2
         rows = np.empty((c * h * w + 1, b))
         feats = rows[:-1].reshape(c, -1)
-        if s.relu_pool:
-            np.maximum.reduce(act.reshape(c, 4, -1)[:, ::-1], axis=1, out=feats)
-            np.add(feats, bias[:, np.newaxis], out=feats)
-            np.maximum(feats, 0.0, out=feats)
-        else:
-            np.add(act, bias[:, np.newaxis], out=feats)
+        np.maximum.reduce(act.reshape(c, 4, -1)[:, ::-1], axis=1, out=feats)
+        np.add(feats, bias[:, np.newaxis], out=feats)
+        np.maximum(feats, 0.0, out=feats)
     head_rows = np.ascontiguousarray(rows[:-1].T)
     return linear_forward(head_rows, params["head.weight"], params["head.bias"])[0]
 
@@ -656,7 +648,7 @@ def predict(spec: NetSpec, params: dict[str, np.ndarray],
 
 
 class ConvNet:
-    """Conv stages with per-stage hooks, then a linear head."""
+    """Conv, relu and pool stages with per-stage hooks, then a linear head."""
 
     def __init__(self, spec: NetSpec, params: dict[str, Tensor]):
         self.spec = spec
@@ -676,15 +668,13 @@ class ConvNet:
         # the input is a constant: the first conv computes no gradient for it
         out = x.data
         for i, s in enumerate(self.spec.stages):
-            out = conv2d(
+            out = relu_maxpool2x2(conv2d(
                 out,
                 self.params[f"conv{i}.weight"],
                 self.params[f"conv{i}.bias"],
                 stride=s.stride,
                 padding=s.padding,
-            )
-            if s.relu_pool:
-                out = relu_maxpool2x2(out)
+            ))
             stage_outputs.append(out)
             if hooks is not None and i < len(hooks) and hooks[i] is not None:
                 out = hooks[i](out)

@@ -71,9 +71,9 @@ def _mean_curves(runs):
             for algo, rounds in by_algo.items()}
 
 
-def write_accuracy_svg(runs, path, width: int = 640, height: int = 400) -> None:
+def write_accuracy_svg(runs, path) -> None:
     curves = _mean_curves(runs)
-    pad = 48
+    width, height, pad = 640, 400, 48
     max_round = max((p[-1][0] for p in curves.values() if p), default=1) or 1
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '

@@ -49,9 +49,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # no zero fill, and data's memory layout rather than g's (which

@@ -12,14 +12,13 @@ quadratically in s, which is what theory_check measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .augment import draw_eps, noise_view
 from .data import TaskSpec, make_base_sampler
-from .layers import (ConvNet, NetSpec, StageSpec, default_net_spec,
-                     init_params, softmax_cross_entropy)
+from .layers import ConvNet, default_net_spec, init_params, softmax_cross_entropy
 from .rng import stream
 from .stats import batch_variances, channel_stats
 from .tensor import Tensor
@@ -34,39 +33,27 @@ class TheoryCheckReport:
     exponent: float | None
     loss_clean: float
     linear_coefficient: float
-    details: dict = field(default_factory=dict)
+    usable_points: int
 
     def passes(self, lo: float = 1.8, hi: float = 2.2) -> bool:
         return self.exponent is not None and lo <= self.exponent <= hi
 
 
-def _loss(logits: Tensor, y: np.ndarray, kind: str) -> Tensor:
-    if kind == "cross_entropy":
-        return softmax_cross_entropy(logits, y)
-    if kind == "linear":
-        # linear functional of the logits; keeps the whole map affine in
-        # the injected noise when every stage is a bare conv
-        return logits.sum() * (1.0 / logits.shape[0])
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def site_gradients(net: ConvNet, x: np.ndarray, y: np.ndarray,
-                   loss_kind: str = "cross_entropy"):
+def site_gradients(net: ConvNet, x: np.ndarray, y: np.ndarray):
     """Clean loss and its gradients at every stage output."""
     logits, stage_outputs = net.forward(Tensor(x))
-    loss = _loss(logits, y, loss_kind)
+    loss = softmax_cross_entropy(logits, y)
     loss.backward()
     grads = [t.grad for t in stage_outputs]
     return float(loss.data), grads
 
 
 def noised_loss(net: ConvNet, x: np.ndarray, y: np.ndarray,
-                noises: list[np.ndarray], scale: float,
-                loss_kind: str = "cross_entropy") -> float:
+                noises: list[np.ndarray], scale: float) -> float:
     hooks = [(lambda t, e=e: t + scale * e) if e is not None else None
              for e in noises]
     logits, _ = net.forward(Tensor(x), hooks=hooks)
-    return float(_loss(logits, y, loss_kind).data)
+    return float(softmax_cross_entropy(logits, y).data)
 
 
 def ffa_noise_source(net: ConvNet, x: np.ndarray,
@@ -86,8 +73,7 @@ def ffa_noise_source(net: ConvNet, x: np.ndarray,
     return noises
 
 
-def theory_check(net: ConvNet, batch, noises, scales,
-                 loss_kind: str = "cross_entropy") -> TheoryCheckReport:
+def theory_check(net: ConvNet, batch, noises, scales) -> TheoryCheckReport:
     """Measure |L(s) - L(0) - s * linear| across noise scales.
 
     noises is a list of per-stage noise arrays (None allowed for a quiet
@@ -98,7 +84,7 @@ def theory_check(net: ConvNet, batch, noises, scales,
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
 
-    loss0, grads = site_gradients(net, x, y, loss_kind)
+    loss0, grads = site_gradients(net, x, y)
     lin = 0.0
     for g, e in zip(grads, noises):
         if e is not None:
@@ -106,7 +92,7 @@ def theory_check(net: ConvNet, batch, noises, scales,
 
     residuals = []
     for s in scales:
-        ls = noised_loss(net, x, y, noises, s, loss_kind)
+        ls = noised_loss(net, x, y, noises, s)
         if not np.isfinite(ls):
             raise FloatingPointError(f"loss not finite at noise scale {s}")
         residuals.append(abs(ls - loss0 - s * lin))
@@ -121,33 +107,19 @@ def theory_check(net: ConvNet, batch, noises, scales,
     return TheoryCheckReport(
         scales=scales, residuals=residuals, exponent=exponent,
         loss_clean=loss0, linear_coefficient=lin,
-        details={"usable_points": len(usable), "loss_kind": loss_kind},
+        usable_points=len(usable),
     )
 
 
-def reference_check(seed: int = 0, batch_size: int = 16,
-                    scales=None) -> TheoryCheckReport:
-    """The stock configuration: seeded 2-stage relu net, synthetic batch."""
+def reference_check(seed: int = 0, scales=None) -> TheoryCheckReport:
+    """The stock configuration: seeded 2-stage net, a synthetic batch of
+    16."""
     if scales is None:
         scales = np.logspace(-1, -4, 7)
     spec = default_net_spec()
     net = ConvNet(spec, init_params(spec, stream(seed, "init")))
     sampler = make_base_sampler(TaskSpec(), seed)
-    x, y = sampler(batch_size, stream(seed, "data", 1))
+    x, y = sampler(16, stream(seed, "data", 1))
     noises = ffa_noise_source(net, x, seed=seed)
     return theory_check(net, (x, y), noises, scales)
 
-
-def linear_check(seed: int = 0, batch_size: int = 8) -> TheoryCheckReport:
-    """Fully affine pipeline: the expansion is exact, residuals at float noise."""
-    spec = NetSpec(
-        stages=(StageSpec(3, 4, relu_pool=False),
-                StageSpec(4, 4, relu_pool=False)),
-        image_size=8, classes=5,
-    )
-    net = ConvNet(spec, init_params(spec, stream(seed, "init")))
-    sampler = make_base_sampler(TaskSpec(classes=5), seed)
-    x, y = sampler(batch_size, stream(seed, "data", 1))
-    noises = ffa_noise_source(net, x, seed=seed)
-    return theory_check(net, (x, y), noises, [1e-1, 1e-2, 1e-3],
-                        loss_kind="linear")

@@ -261,7 +261,7 @@ def test_batch_statistics_shift_as_requested():
     x = rng.standard_normal((4, 2, 5, 5))
     fused = np.array([[0.5, 2.0], [0.1, 0.3]])
     eps = rng.standard_normal((2, 4, 2))
-    out, _ = augment(Tensor(x), fused, FfaConfig(eps_var=0.0), rng, eps=eps)
+    out = ffa_transform(Tensor(x), fused, *eps, eps_var=0.0)
     want_mu, want_sigma = (channel_stats(x, eps_var=0.0)
                            + eps * np.sqrt(fused)[:, None, :])
     after_mu, after_sigma = channel_stats(out.data, eps_var=0.0)

@@ -142,16 +142,15 @@ def test_zero_weight_loss_leaves_no_negative_zero(b):
     assert_same_bits(grads["head.bias"], want["head.bias"])
 
 
-@pytest.mark.parametrize("image_size", [4, 8, 16])
-@pytest.mark.parametrize("stages", [
-    (StageSpec(3, 4), StageSpec(4, 5)),
-    (StageSpec(3, 4), StageSpec(4, 5, relu_pool=False)),
-    (StageSpec(3, 4, relu_pool=False), StageSpec(4, 5)),
-    (StageSpec(3, 4, relu_pool=False), StageSpec(4, 5, relu_pool=False)),
-    (StageSpec(3, 4, relu_pool=False), StageSpec(4, 4, stride=2)),
-], ids=["relu_pool-relu_pool", "relu_pool-bare", "bare-relu_pool", "bare-bare",
-        "bare-strided"])
-def test_other_stage_kinds_match_graph(stages, image_size):
+@pytest.mark.parametrize("stages,image_size", [
+    *(((StageSpec(3, 4), StageSpec(4, 5)), size) for size in (4, 8, 16)),
+    *(((StageSpec(3, 4), StageSpec(4, 4, stride=2)), size) for size in (8, 16)),
+    ((StageSpec(3, 4, ksize=5, stride=2, padding=0),
+      StageSpec(4, 5, ksize=1, padding=0)), 19),
+    ((StageSpec(3, 4), StageSpec(4, 1)), 8),
+], ids=["k3-4", "k3-8", "k3-16", "strided-8", "strided-16", "k5stride2pad0-k1",
+        "cout1"])
+def test_other_nets_match_graph(stages, image_size):
     spec = NetSpec(stages=stages, image_size=image_size, classes=3)
     params = {k: t.data for k, t in init_params(spec, stream(7, "init")).items()}
     x = np.random.default_rng(50).standard_normal((17, 3, image_size, image_size))

@@ -80,9 +80,11 @@ def test_feature_shift_zero_strength_identity():
     base = make_base_sampler(SPEC, 0)
     ds = make_feature_shift(base, m=3, shift_strength=0.0, seed=0,
                             train_per_client=10, test_per_client=4)
-    for s in ds.metadata["shifts"]:
-        assert np.allclose(s["scale"], 1.0)
-        assert np.allclose(s["offset"], 0.0)
+    for i, c in enumerate(ds.clients):
+        # the unshifted fill from the client's streams
+        x, y = base(14, stream(0, "data", i + 1))
+        assert np.array_equal(np.concatenate((c.x_train, c.x_test)), x)
+        assert np.array_equal(np.concatenate((c.y_train, c.y_test)), y)
 
 
 def test_feature_shift_deterministic():
@@ -130,7 +132,6 @@ def test_dirichlet_partition_covers_pool():
                                classes=SPEC.classes)
     total = sum(rows.size for rows in part.rows)
     assert total == 400
-    assert part.metadata["sizes"] == [rows.size for rows in part.rows]
     for rows, n_train in zip(part.rows, part.n_train):
         assert n_train >= 1 and rows.size - n_train >= 1
 
@@ -174,19 +175,19 @@ def test_dirichlet_validation():
 
 def test_size_skew_unit_ratio_balanced():
     part = size_skew(_labels(400), m=4, ratio=1.0, seed=0, classes=SPEC.classes)
-    sizes = part.metadata["sizes"]
+    sizes = [rows.size for rows in part.rows]
     assert sum(sizes) == 400
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_size_skew_reference_sizes():
     part = size_skew(_labels(1000), m=4, ratio=8.0, seed=0, classes=SPEC.classes)
-    assert part.metadata["sizes"] == [67, 133, 267, 533]
+    assert [rows.size for rows in part.rows] == [67, 133, 267, 533]
 
 
 def test_size_skew_ratio_respected():
     part = size_skew(_labels(600), m=3, ratio=4.0, seed=1, classes=SPEC.classes)
-    sizes = part.metadata["sizes"]
+    sizes = [rows.size for rows in part.rows]
     assert max(sizes) / min(sizes) == pytest.approx(4.0, rel=0.1)
 
 
@@ -237,7 +238,7 @@ def test_partition_dataset_equals_pool_then_copy(kind, chunk_bytes, monkeypatch)
     rng = stream(6, "data", 99)
     assert np.array_equal(base.labels(301, rng), y)
     ds = partition_dataset(base, y, part, rng)
-    assert ds.classes == part.classes and ds.metadata == part.metadata
+    assert ds.classes == part.classes
     for c, rows, n_train in zip(ds.clients, part.rows, part.n_train):
         assert np.array_equal(c.x_train, x[rows[:n_train]])
         assert np.array_equal(c.x_test, x[rows[n_train:]])

@@ -141,6 +141,12 @@ def test_comm_cost_rejects_bad_channels():
         comm_cost([16, 0], 4)
 
 
+@pytest.mark.parametrize("bytes_per_value", [0, -4])
+def test_comm_cost_rejects_bad_bytes_per_value(bytes_per_value):
+    with pytest.raises(ValueError, match="bytes_per_value must be >= 1"):
+        comm_cost([8, 16], bytes_per_value)
+
+
 # ---------------------------------------------------------------- selection
 
 def test_select_full_participation():

@@ -21,7 +21,7 @@ from fedfa.layers import ConvNet, default_net_spec, init_params
 from fedfa.report import collect_runs, emit_report
 from fedfa.rng import stream
 from fedfa.tensor import Tensor
-from fedfa.theory import linear_check, reference_check, theory_check
+from fedfa.theory import reference_check, theory_check
 
 TINY_DS = dict(classes=3, image_size=4, channels=2, noise=0.5,
                train_per_client=8, test_per_client=4)
@@ -424,13 +424,7 @@ def test_theory_reference_configuration():
     report = reference_check()
     assert report.passes()
     assert 1.8 <= report.exponent <= 2.2
-    assert report.details["usable_points"] >= 2
-
-
-def test_theory_affine_pipeline_exact():
-    report = linear_check()
-    assert all(r < 1e-10 for r in report.residuals)
-    assert report.exponent is None
+    assert report.usable_points >= 2
 
 
 def test_theory_rejects_bad_scales():
@@ -597,6 +591,8 @@ def test_compare_json_identical_across_reruns_and_workers(tmp_path, capsys):
     assert sorted(os.listdir(root)) == sorted(
         ["compare.json"] + [f"{a}_seed{s}" for a in ALGORITHMS for s in (0, 1)])
     assert json.loads(blobs.pop()) == result
+    assert result["config"] == base.to_dict()
+    assert ExperimentConfig.from_dict(result["config"]) == base
     held = leave_one_out(dataclasses.replace(base, algorithm="fedavg", seed=1), 3)
     assert result["held_out_acc"]["fedavg"][1] == held["held_out_acc"]
     with open(root / "fedfa_seed0" / "metrics.jsonl") as f:
@@ -664,7 +660,19 @@ def test_compare_needs_the_held_out_client(tmp_path, capsys):
     (["commcost", "0", "8"], "argument channels: must be >= 1, got 0"),
     (["commcost", "8", "x"], "argument channels: invalid int value: 'x'"),
     (["compare", "--seeds", "1"], "argument --seeds: must be >= 2, got 1"),
-], ids=["commcost-0", "commcost-x", "compare-1-seed"])
+    (["compare", "--workers", "-2"], "argument --workers: must be >= 1, got -2"),
+    (["compare", "--workers", "0"], "argument --workers: must be >= 1, got 0"),
+    (["sweep", "configs/*.json", "--workers", "-1"],
+     "argument --workers: must be >= 1, got -1"),
+    (["sweep", "configs/*.json", "--workers", "0"],
+     "argument --workers: must be >= 1, got 0"),
+    (["commcost", "8", "16", "--bytes-per-value", "-4"],
+     "argument --bytes-per-value: must be >= 1, got -4"),
+    (["commcost", "8", "--bytes-per-value", "0"],
+     "argument --bytes-per-value: must be >= 1, got 0"),
+], ids=["commcost-0", "commcost-x", "compare-1-seed", "compare-workers--2",
+        "compare-workers-0", "sweep-workers--1", "sweep-workers-0",
+        "commcost-bytes--4", "commcost-bytes-0"])
 def test_cli_rejects_bad_counts_with_a_usage_error(argv, error, capsys):
     # argparse rejects them, before anything runs
     with pytest.raises(SystemExit) as exit_info:
@@ -681,7 +689,7 @@ def test_check_theory_without_an_exponent_fails(monkeypatch, capsys):
 
     report = theory.TheoryCheckReport(scales=[0.1, 0.01], residuals=[1e-3, 0.0],
                                       exponent=None, loss_clean=1.0,
-                                      linear_coefficient=0.0)
+                                      linear_coefficient=0.0, usable_points=1)
     monkeypatch.setattr(theory, "reference_check", lambda seed: report)
     assert main(["check", "theory"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (

@@ -292,10 +292,9 @@ def test_relu_after_pool_bit_identical_to_relu_before(batch):
 
 @pytest.mark.parametrize("spec", [
     default_net_spec(),
-    NetSpec(stages=(StageSpec(3, 4, relu_pool=False),
-                    StageSpec(4, 6, relu_pool=False)),
+    NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 6, stride=2)),
             image_size=8, classes=5),
-], ids=["default", "bare"])
+], ids=["default", "strided"])
 def test_infer_logits_bit_identical_to_reference_kernels(spec, monkeypatch):
     rng = np.random.default_rng(41)
     params = {k: p.data for k, p in init_params(spec, stream(41, "init")).items()}
@@ -328,8 +327,6 @@ def head_inputs(monkeypatch, forward):
     return out, feats
 
 
-# each stage conv+relu+pool (True) or the bare conv (False)
-STAGE_KINDS = [(True, True), (True, False), (False, True), (False, False)]
 # stage 0 gathers K = 4*3*3 = 36 >= 32 values per row, where OpenBLAS has a
 # small-matrix kernel
 K36_SPEC = NetSpec(stages=(StageSpec(4, 8), StageSpec(8, 16)), image_size=8,
@@ -348,23 +345,21 @@ def signed_zero_net(spec, batch, rng):
 
 
 @pytest.mark.parametrize("spec", [
-    *(NetSpec(stages=(StageSpec(3, 4, relu_pool=k0),
-                      StageSpec(4, 5, relu_pool=k1)),
+    *(NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 5)),
               image_size=size, classes=5)
-      for k0, k1 in STAGE_KINDS for size in (4, 8, 16)),
+      for size in (4, 8, 16)),
     NetSpec(stages=(StageSpec(3, 4, ksize=5, padding=2),
                     StageSpec(4, 6, ksize=1, padding=0)),
             image_size=8, classes=5),
     NetSpec(stages=(StageSpec(3, 4, stride=2, padding=0),
-                    StageSpec(4, 5, ksize=1, padding=0, relu_pool=False)),
+                    StageSpec(4, 5, ksize=1, padding=0)),
             image_size=9, classes=5),
     NetSpec(stages=(StageSpec(3, 4, ksize=5, stride=2, padding=0),
-                    StageSpec(4, 5, relu_pool=False)),
+                    StageSpec(4, 5)),
             image_size=19, classes=5),
     K36_SPEC,
     NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 1)), image_size=8, classes=5),
-], ids=[*(f"relu_pool{k0:d}-relu_pool{k1:d}-{size}x{size}"
-          for k0, k1 in STAGE_KINDS for size in (4, 8, 16)),
+], ids=[*(f"k3-{size}x{size}" for size in (4, 8, 16)),
         "k5pad2-k1pad0", "stride2pad0-k1", "k5stride2pad0-k3", "k36", "cout1"])
 @pytest.mark.parametrize("batch", [1, 17, 151, 152])
 def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
@@ -691,9 +686,6 @@ def test_feature_dims_account_for_pooling():
     spec = NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 8)),
                    image_size=16, classes=5)
     assert spec.feature_dims == (8, 4)
-    nopool = NetSpec(stages=(StageSpec(3, 4, relu_pool=False),),
-                     image_size=8, classes=5)
-    assert nopool.feature_dims == (4, 8)
 
 
 def test_end_to_end_network_gradcheck():
@@ -769,13 +761,3 @@ def test_a_set_within_the_cap_is_one_call(monkeypatch):
         predict(spec, params, x[:n])
         assert calls == want
 
-
-def test_infer_logits_without_pool_matches_forward():
-    spec = NetSpec(stages=(StageSpec(3, 4, relu_pool=False),
-                           StageSpec(4, 5, stride=2)),
-                   image_size=8, classes=3)
-    params = init_params(spec, stream(6, "init"))
-    x = np.random.default_rng(7).standard_normal((4, 3, 8, 8))
-    logits, _ = ConvNet(spec, params).forward(Tensor(x))
-    arrays = {k: p.data for k, p in params.items()}
-    assert np.array_equal(infer_logits(spec, arrays, x), logits.data)

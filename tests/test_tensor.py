@@ -134,14 +134,6 @@ def test_reshape_grads():
     check_grads(lambda x: (x.reshape(3, 4) ** 2).sum(), [a])
 
 
-def test_zero_grad_resets():
-    x = Tensor(2.0)
-    (x * x).backward()
-    assert x.grad is not None
-    x.zero_grad()
-    assert x.grad is None
-
-
 @pytest.mark.parametrize("data_nhwc", [True, False])
 def test_first_gradient_takes_the_layout_of_data(data_nhwc):
     # later reductions over a gradient sum in its memory order, so the
