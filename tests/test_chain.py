@@ -142,14 +142,23 @@ def test_zero_weight_loss_leaves_no_negative_zero(b):
     assert_same_bits(grads["head.bias"], want["head.bias"])
 
 
+# kernel and padding of a stage that keeps its input size
+SAME_KERNELS = {"k3": dict(ksize=3, padding=1), "k1": dict(ksize=1, padding=0),
+                "k5": dict(ksize=5, padding=2)}
+# stage 0 and stage 1 kernels, each net at three image sizes
+KERNEL_GRID = [(k0, k1, size) for k0 in ("k3", "k1", "k5") for k1 in ("k3", "k1")
+               for size in (4, 8, 16)]
+
+
 @pytest.mark.parametrize("stages,image_size", [
-    *(((StageSpec(3, 4), StageSpec(4, 5)), size) for size in (4, 8, 16)),
+    *(((StageSpec(3, 4, **SAME_KERNELS[k0]), StageSpec(4, 5, **SAME_KERNELS[k1])),
+       size) for k0, k1, size in KERNEL_GRID),
     *(((StageSpec(3, 4), StageSpec(4, 4, stride=2)), size) for size in (8, 16)),
     ((StageSpec(3, 4, ksize=5, stride=2, padding=0),
       StageSpec(4, 5, ksize=1, padding=0)), 19),
     ((StageSpec(3, 4), StageSpec(4, 1)), 8),
-], ids=["k3-4", "k3-8", "k3-16", "strided-8", "strided-16", "k5stride2pad0-k1",
-        "cout1"])
+], ids=[*(f"{k0}-{k1}-{size}" for k0, k1, size in KERNEL_GRID), "strided-8",
+        "strided-16", "k5stride2pad0-k1", "cout1"])
 def test_other_nets_match_graph(stages, image_size):
     spec = NetSpec(stages=stages, image_size=image_size, classes=3)
     params = {k: t.data for k, t in init_params(spec, stream(7, "init")).items()}

@@ -344,13 +344,19 @@ def signed_zero_net(spec, batch, rng):
     return params, signed_zero_heavy(rng, (batch, spec.stages[0].in_ch, size, size))
 
 
+# kernel and padding of a stage that keeps its input size
+SAME_KERNELS = {"k3": dict(ksize=3, padding=1), "k1": dict(ksize=1, padding=0),
+                "k5": dict(ksize=5, padding=2)}
+# stage 0 and stage 1 kernels, each net at three image sizes
+KERNEL_GRID = [(k0, k1, size) for k0 in ("k3", "k1", "k5") for k1 in ("k3", "k1")
+               for size in (4, 8, 16)]
+
+
 @pytest.mark.parametrize("spec", [
-    *(NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 5)),
+    *(NetSpec(stages=(StageSpec(3, 4, **SAME_KERNELS[k0]),
+                      StageSpec(4, 5, **SAME_KERNELS[k1])),
               image_size=size, classes=5)
-      for size in (4, 8, 16)),
-    NetSpec(stages=(StageSpec(3, 4, ksize=5, padding=2),
-                    StageSpec(4, 6, ksize=1, padding=0)),
-            image_size=8, classes=5),
+      for k0, k1, size in KERNEL_GRID),
     NetSpec(stages=(StageSpec(3, 4, stride=2, padding=0),
                     StageSpec(4, 5, ksize=1, padding=0)),
             image_size=9, classes=5),
@@ -359,8 +365,8 @@ def signed_zero_net(spec, batch, rng):
             image_size=19, classes=5),
     K36_SPEC,
     NetSpec(stages=(StageSpec(3, 4), StageSpec(4, 1)), image_size=8, classes=5),
-], ids=[*(f"k3-{size}x{size}" for size in (4, 8, 16)),
-        "k5pad2-k1pad0", "stride2pad0-k1", "k5stride2pad0-k3", "k36", "cout1"])
+], ids=[*(f"{k0}-{k1}-{size}x{size}" for k0, k1, size in KERNEL_GRID),
+        "stride2pad0-k1", "k5stride2pad0-k3", "k36", "cout1"])
 @pytest.mark.parametrize("batch", [1, 17, 151, 152])
 def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
                                                              monkeypatch):
