@@ -92,17 +92,23 @@ def batch_grads(net_spec, params: dict[str, np.ndarray], x: np.ndarray,
     return float(loss), net_backward(tape, g)
 
 
+def stat_channels(cfg: ExperimentConfig, net_spec) -> tuple[int, ...]:
+    """The sites whose statistics a round exchanges: only the full variant
+    reads coefficients, so only it exchanges, at every site."""
+    return net_spec.stage_channels if cfg.method.variant == "full" else ()
+
+
 def make_train_fn(cfg: ExperimentConfig, net_spec):
     """Build the per-client local training function for one experiment.
 
     Every batch runs through ``batch_grads``; no autodiff graph is built.
-    The FedFA variants give each client fresh momentum statistics per
-    round, updated whenever a gate fires and returned for upload.
+    Only at ``stat_channels``' sites does a client track momentum statistics,
+    fresh each round, updated whenever a gate fires and returned for upload.
     """
     method = cfg.method
     ffa_cfg = (FfaConfig(p=cfg.p, variant=method.variant,
                          random_std=cfg.random_std) if method.variant else None)
-    channels = net_spec.stage_channels if ffa_cfg else ()
+    tracked = stat_channels(cfg, net_spec)
 
     def train_fn(client: ClientState, round_index: int,
                  params: dict[str, np.ndarray], coeffs) -> LocalResult:
@@ -110,7 +116,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
         opt = Sgd(dict(params), lr=cfg.lr,
                   prox_mu=cfg.prox_mu if method.prox else 0.0,
                   anchor=params if method.prox else None)
-        momentum = [MomentumStats.fresh(c, cfg.alpha) for c in channels]
+        momentum = [MomentumStats.fresh(c, cfg.alpha) for c in tracked]
         mix_rng = (stream(cfg.seed, "mixup", round_index, client.client_id)
                    if method.mixup else None)
 
@@ -121,12 +127,13 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
 
             def budget(st):
                 # called only when the gate fires, with its one set of statistics
-                momentum[k] = momentum_update(momentum[k], st)
+                if momentum:
+                    momentum[k] = momentum_update(momentum[k], st)
                 return variant_variances(ffa_cfg, batch_variances(st), gamma)
 
             return lambda x: augment(x, budget, ffa_cfg, rng)
 
-        hooks = [make_hook(k) for k in range(len(channels))] if ffa_cfg else None
+        hooks = [make_hook(k) for k in range(len(net_spec.stages))] if ffa_cfg else None
         x_all, y_all = client.data.x_train, client.data.y_train
         n = x_all.shape[0]
         losses = []
@@ -183,7 +190,7 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
             init_params(net_spec, stream(cfg.seed, "init")).items()}
     server = ServerState(
         params=init,
-        stat_channels=net_spec.stage_channels if cfg.method.variant else (),
+        stat_channels=stat_channels(cfg, net_spec),
     )
     clients = [ClientState(client_id=i, data=ds.clients[i]) for i in client_ids]
     train_fn = make_train_fn(cfg, net_spec)

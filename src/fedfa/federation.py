@@ -13,15 +13,15 @@ a client keeps during training, its momentum feature statistics
 included, is train_fn's own and comes back in the LocalResult.
 
 Statistics are exchanged if and only if ``server.stat_channels`` is
-non-empty: only then are uploaded statistics stored, coefficients
-recomputed and statistic bytes priced.
+non-empty. The server stores none: each round's coefficients come from the
+uploads of that round's survivors alone, and statistic bytes are priced.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ class ClientState:
 class ServerState:
     params: dict[str, np.ndarray]
     stat_channels: tuple[int, ...] = ()
-    # by client_id
-    client_stats: dict[int, list[MomentumStats]] = field(default_factory=dict)
     # per site, [2,C]: the modulation coefficients of the mean and the std
     coeffs: list[np.ndarray] | None = None
     momentum_buf: dict[str, np.ndarray] | None = None
@@ -160,14 +158,12 @@ def select_clients(m: int, participation: float, seed: int, round_index: int) ->
     return sorted(rng.choice(m, size=n, replace=False).tolist())
 
 
-def recompute_coeffs(server: ServerState) -> None:
-    """Recompute per-site modulation coefficients from stored statistics."""
-    if not server.client_stats:
-        server.coeffs = None
-        return
-    server.coeffs = [
-        modulate(sharing_variances([st[k] for st in server.client_stats.values()]))
-        for k in range(len(server.stat_channels))]
+def recompute_coeffs(server: ServerState, uploads: list[list[MomentumStats]]) -> None:
+    """Per-site coefficients from this round's uploads (one per survivor, a
+    statistic per site); a round without uploads keeps the previous ones."""
+    if uploads:
+        server.coeffs = [modulate(sharing_variances([u[k] for u in uploads]))
+                         for k in range(len(server.stat_channels))]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -183,8 +179,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     train_fn(client, round_index, params, coeffs) -> LocalResult does the
     local optimization on read-only views of server.params and
     server.coeffs; a ClientTrainingError drops that client
-    from the round. The report and ``server.client_stats`` name clients by
-    client_id.
+    from the round. The report names clients by client_id.
     """
     t0 = time.perf_counter()
     picked = [clients[i] for i in
@@ -212,8 +207,6 @@ def run_round(server: ServerState, clients: list[ClientState],
             continue
         results.append(res)
         train_loss[cid] = res.train_loss
-        if server.stat_channels:
-            server.client_stats[cid] = res.momentum
 
     t_agg = time.perf_counter()
     if results:
@@ -235,7 +228,7 @@ def run_round(server: ServerState, clients: list[ClientState],
             server.params = agg
 
     if server.stat_channels:
-        recompute_coeffs(server)
+        recompute_coeffs(server, [r.momentum for r in results])
     t_end = time.perf_counter()
 
     # broadcast reaches every selected client; uplink only the survivors

@@ -54,11 +54,11 @@ def batch_variances(stats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumStats:
-    """Running per-channel estimate of a client's feature statistics.
+    """A client's running per-channel feature statistics, tracked only by
+    the full variant, whose server turns them into modulation coefficients.
 
-    pair is [2,C]: mu_bar starts at zero and sigma_bar at one; both are
-    re-initialized at the start of every round and updated only on forward
-    passes where the augmentation gate fires.
+    pair is [2,C]: mu_bar starts each round at zero and sigma_bar at one;
+    both update only on forward passes where the augmentation gate fires.
     """
 
     pair: np.ndarray

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fedfa import checkpoint
+from fedfa.augment import modulate
 from fedfa.config import DatasetConfig, ExperimentConfig
 from fedfa.experiment import run_experiment
 from fedfa.federation import (ClientState, ClientTrainingError, LocalResult,
@@ -196,6 +197,14 @@ def _const_train_fn(delta=0.0, loss=1.0, n=10, fail_ids=(), channels=(2,)):
     return fn
 
 
+def _same_coeffs(coeffs, uploads):
+    """coeffs equal, bit for bit, those of uploads[client][site]."""
+    want = [modulate(sharing_variances([u[k] for u in uploads]))
+            for k in range(len(uploads[0]))]
+    return len(coeffs) == len(want) and all(
+        np.array_equal(c, w) for c, w in zip(coeffs, want))
+
+
 def _server(channels=(2,)):
     return ServerState(
         params={"w": np.arange(6.0).reshape(2, 3), "b": np.zeros(2)},
@@ -241,7 +250,9 @@ def test_run_round_names_clients_by_id():
     report = run_round(server, clients, 1, CFG, _const_train_fn(fail_ids={2}))
     assert report.selected == [0, 2, 3]
     assert report.train_loss == {0: 1.0, 3: 4.0}
-    assert set(server.client_stats) == {0, 3}
+    # coefficients from the survivors 0 and 3, whose mu_bar is their id
+    assert _same_coeffs(server.coeffs, [[_ms([0.0] * 2, [1.0] * 2)],
+                                        [_ms([3.0] * 2, [1.0] * 2)]])
     record = report.record({0: 0.5, 2: 0.25, 3: 0.75})
     assert record["round"] == 1
     assert record["selected"] == [0, 2, 3]
@@ -337,16 +348,14 @@ def test_run_round_without_stat_channels_exchanges_nothing():
     param_bytes = len(checkpoint.encode(server.params))
     for r in (1, 2):
         report = run_round(server, _clients(2), r, CFG, _const_train_fn())
-        assert server.client_stats == {}
         assert server.coeffs is None
         assert report.uplink_bytes_per_client == param_bytes
         assert report.downlink_bytes_per_client == param_bytes
 
 
-def test_run_round_collects_client_stats_and_coeffs():
+def test_run_round_computes_coeffs_from_uploads():
     server = _server(channels=(2,))
     run_round(server, _clients(3), 0, CFG, _const_train_fn())
-    assert set(server.client_stats) == {0, 1, 2}
     assert server.coeffs is not None and len(server.coeffs) == 1
     # mu_bar values are 0,1,2 per client: nonzero spread, weights sum to C
     gamma_mu, gamma_sigma = server.coeffs[0]
@@ -362,7 +371,9 @@ def test_run_round_failure_drops_client(caplog):
                            _const_train_fn(delta=1.0, fail_ids={1}))
     assert report.selected == [0, 1, 2]
     assert sorted(report.train_loss) == [0, 2]
-    assert 1 not in server.client_stats
+    # the dropped client's statistics reach no coefficient
+    assert _same_coeffs(server.coeffs, [[_ms([0.0] * 2, [1.0] * 2)],
+                                        [_ms([2.0] * 2, [1.0] * 2)]])
     assert any("dropped" in r.message for r in caplog.records)
     # survivors still aggregate
     assert np.allclose(server.params["b"], 1.0)
@@ -381,16 +392,24 @@ def test_run_round_all_fail_keeps_model():
         assert np.array_equal(server.params[k], before[k])
 
 
-def test_run_round_partial_participation_keeps_stale_stats():
+def test_run_round_partial_participation_reads_this_rounds_uploads():
+    # round 0 sees clients 0..3; round 1's coefficients forget the two
+    # clients it did not select
     server = _server(channels=(2,))
     run_round(server, _clients(4), 0, CFG, _const_train_fn())
-    stale = {i: s for i, s in server.client_stats.items()}
     half = dataclasses.replace(CFG, participation=0.5, seed=3)
     report = run_round(server, _clients(4), 1, half, _const_train_fn())
     assert len(report.selected) == 2
-    untouched = set(range(4)) - set(report.selected)
-    for i in untouched:
-        assert server.client_stats[i] is stale[i]
+    assert _same_coeffs(server.coeffs, [[_ms([float(i)] * 2, [1.0] * 2)]
+                                        for i in report.selected])
+
+
+def test_run_round_all_dropped_keeps_coeffs():
+    server = _server(channels=(2,))
+    run_round(server, _clients(3), 0, CFG, _const_train_fn())
+    kept = server.coeffs
+    run_round(server, _clients(3), 1, CFG, _const_train_fn(fail_ids={0, 1, 2}))
+    assert server.coeffs is kept
 
 
 def test_run_round_uniform_vs_sample_weights():
@@ -433,8 +452,20 @@ def test_server_momentum_only_for_fedavgm():
     assert server.momentum_buf is None
 
 
-def test_recompute_coeffs_without_stats_clears():
+def test_recompute_coeffs_without_uploads_keeps_previous():
     server = _server(channels=(2,))
-    server.coeffs = [np.zeros((2, 2))]
-    recompute_coeffs(server)
-    assert server.coeffs is None
+    server.coeffs = kept = [np.zeros((2, 2))]
+    recompute_coeffs(server, [])
+    assert server.coeffs is kept
+    fresh = _server(channels=(2,))
+    recompute_coeffs(fresh, [])
+    assert fresh.coeffs is None
+
+
+def test_recompute_coeffs_one_upload_is_uniform():
+    # one client has no spread to modulate: as in a one-client federation
+    server = _server(channels=(2, 3))
+    recompute_coeffs(server, [[_ms([1.0, 5.0], [2.0, 0.5]),
+                               _ms([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])]])
+    assert [c.tolist() for c in server.coeffs] == [np.ones((2, 2)).tolist(),
+                                                   np.ones((2, 3)).tolist()]

@@ -268,9 +268,15 @@ def test_stat_exchange_only_for_augmented(tmp_path):
     assert rec_a["uplink_bytes_per_client"] - rec_p["uplink_bytes_per_client"] == extra
 
 
-@pytest.mark.parametrize("algo", ["fedprox", "fedfa"])
-def test_train_fn_leaves_broadcast_untouched(algo):
-    cfg = tiny_cfg(algorithm=algo)
+@pytest.mark.parametrize("algo", ["fedprox", "fedfa", "fedfa-c"])
+def test_train_fn_leaves_broadcast_untouched(algo, monkeypatch):
+    # every gate fires; only the full variant, which exchanges statistics,
+    # tracks them
+    updates = []
+    real_update = experiment.momentum_update
+    monkeypatch.setattr(experiment, "momentum_update",
+                        lambda *a: updates.append(1) or real_update(*a))
+    cfg = tiny_cfg(algorithm=algo, p=1.0)
     ds = build_dataset(cfg.dataset, cfg.clients, cfg.seed)
     spec = default_net_spec(channels=2, image_size=4, classes=3)
     params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
@@ -283,6 +289,7 @@ def test_train_fn_leaves_broadcast_untouched(algo):
     returned = list(res.params.values()) + [a for st in res.momentum
                                             for a in (st.mu_bar, st.sigma_bar)]
     assert len(res.momentum) == (len(spec.stages) if algo == "fedfa" else 0)
+    assert bool(updates) == (algo == "fedfa")
     assert not any(np.shares_memory(a, p)
                    for a in returned for p in params.values())
 
