@@ -189,14 +189,15 @@ def _cmd_commcost(args) -> int:
 
 
 def _check_theory(seed: int) -> int:
-    from .theory import reference_check
+    from .theory import EXPONENT_BAND, reference_check
 
     report = reference_check(seed=seed)
     for s, r in zip(report.scales, report.residuals):
         print(f"scale {s:10.3e}  residual {r:12.5e}")
     ok = report.passes()
     exponent = "n/a" if report.exponent is None else f"{report.exponent:.4f}"
-    print(f"exponent {exponent} {'PASS' if ok else 'FAIL'} (want 1.8..2.2)")
+    print(f"exponent {exponent} {'PASS' if ok else 'FAIL'} "
+          f"(want {EXPONENT_BAND[0]}..{EXPONENT_BAND[1]})")
     return 0 if ok else 1
 
 

@@ -52,6 +52,9 @@ import numpy as np
 
 from .tensor import Tensor, kernel_node
 
+# added to each spatial variance under sigma's square root (channel_mean_std)
+EPS_VAR = 1e-6
+
 
 # ---- kernels on raw arrays --------------------------------------------------
 
@@ -370,7 +373,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
                        lambda g: (softmax_cross_entropy_backward(g, ctx),))
 
 
-def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = 1e-6):
+def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = EPS_VAR):
     """Per-sample per-channel spatial statistics, the one implementation of
     them.
 

@@ -11,11 +11,26 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f")
 
 
+def _read_json(path, lines: bool = False):
+    """config.json's object, or metrics.jsonl's objects, one per non-blank
+    line; a ValueError names the file and what is wrong with it."""
+    try:
+        with open(path) as f:
+            values = ([json.loads(t) for t in f if t.strip()] if lines
+                      else [json.load(f)])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    if not all(isinstance(v, dict) for v in values):
+        raise ValueError(f"{path}: holds a JSON value that is not an object")
+    return values if lines else values[0]
+
+
 def collect_runs(root):
     """Find run directories (root itself or its children) and load metrics.
 
     Returns (runs, warnings); each run is a dict with algorithm, seed and
-    the parsed metric records.
+    the parsed metric records. A run whose config.json or metrics.jsonl
+    does not parse is skipped with a warning naming the file.
     """
     if os.path.isfile(os.path.join(root, "metrics.jsonl")):
         candidates = [root]
@@ -29,17 +44,18 @@ def collect_runs(root):
         if not os.path.isfile(metrics):
             warnings.append(f"{d}: no metrics.jsonl, skipped")
             continue
-        algorithm, seed = os.path.basename(d), None
         cfg_path = os.path.join(d, "config.json")
-        if os.path.isfile(cfg_path):
-            with open(cfg_path) as f:
-                cfg = json.load(f)
-            algorithm = cfg.get("algorithm", algorithm)
-            seed = cfg.get("seed")
-        else:
+        has_cfg = os.path.isfile(cfg_path)
+        try:
+            cfg = _read_json(cfg_path) if has_cfg else {}
+            records = _read_json(metrics, lines=True)
+        except ValueError as err:
+            warnings.append(f"{err}, skipped")
+            continue
+        if not has_cfg:
             warnings.append(f"{d}: no config.json, using directory name")
-        with open(metrics) as f:
-            records = [json.loads(line) for line in f if line.strip()]
+        algorithm = cfg.get("algorithm", os.path.basename(d))
+        seed = cfg.get("seed")
         if not records:
             warnings.append(f"{d}: metrics.jsonl is empty")
         runs.append({"dir": d, "algorithm": algorithm, "seed": seed,

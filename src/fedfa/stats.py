@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import channel_mean_std
-
-EPS_VAR = 1e-6
+from .layers import EPS_VAR, channel_mean_std
 
 
 def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> np.ndarray:

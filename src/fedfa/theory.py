@@ -24,6 +24,7 @@ from .stats import batch_variances, channel_stats
 from .tensor import Tensor
 
 RESIDUAL_FLOOR = 1e-13
+EXPONENT_BAND = (1.8, 2.2)  # a fitted residual exponent passes inside it
 
 
 @dataclass
@@ -35,7 +36,8 @@ class TheoryCheckReport:
     linear_coefficient: float
     usable_points: int
 
-    def passes(self, lo: float = 1.8, hi: float = 2.2) -> bool:
+    def passes(self) -> bool:
+        lo, hi = EXPONENT_BAND
         return self.exponent is not None and lo <= self.exponent <= hi
 
 

@@ -495,6 +495,25 @@ def test_collect_runs_warns_on_stray_dir(tmp_path):
     assert any("not_a_run" in w for w in warnings)
 
 
+@pytest.mark.parametrize("name", ["config.json", "metrics.jsonl"])
+def test_report_skips_a_run_that_does_not_parse(tmp_path, capsys, name):
+    # a non-JSON config.json, or a metrics.jsonl cut inside its last record
+    good = run_experiment(tiny_cfg(rounds=1, run_name="good"), run_root=tmp_path)
+    bad = run_experiment(tiny_cfg(rounds=1, run_name="bad"), run_root=tmp_path)
+    path = os.path.join(bad, name)
+    text = open(path).read()
+    with open(path, "w") as f:
+        f.write("{not json" if name == "config.json" else text[:-20])
+    runs, warnings = collect_runs(tmp_path)
+    assert [r["dir"] for r in runs] == [good]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{path}: ")
+    assert warnings[0].endswith(", skipped")
+    assert "line 1 column" in warnings[0]  # json's own reason
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == f"warning: {warnings[0]}\n"
+
+
 def test_report_accepts_single_run_dir(tmp_path):
     run_dir = run_experiment(tiny_cfg(rounds=1), run_root=tmp_path)
     runs, warnings = collect_runs(run_dir)
@@ -688,6 +707,24 @@ def test_cli_rejects_bad_counts_with_a_usage_error(argv, error, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"fedfa {argv[0]}: error: {error}"
+
+
+def test_check_theory_band_is_one_constant(monkeypatch, capsys):
+    # passes() and the printed band both read theory.EXPONENT_BAND
+    from fedfa import theory
+
+    report = theory.TheoryCheckReport(scales=[0.1], residuals=[1e-3],
+                                      exponent=2.5, loss_clean=1.0,
+                                      linear_coefficient=0.0, usable_points=2)
+    monkeypatch.setattr(theory, "reference_check", lambda seed: report)
+    assert main(["check", "theory"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "exponent 2.5000 FAIL (want 1.8..2.2)")
+    monkeypatch.setattr(theory, "EXPONENT_BAND", (2.4, 2.6))
+    assert report.passes()
+    assert main(["check", "theory"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "exponent 2.5000 PASS (want 2.4..2.6)")
 
 
 def test_check_theory_without_an_exponent_fails(monkeypatch, capsys):

@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedfa import layers, stats
+from fedfa.augment import EPS_VAR as AUGMENT_EPS_VAR, ffa_forward
 from fedfa.stats import (MomentumStats, batch_variances, channel_stats,
                          momentum_update)
 
@@ -25,6 +29,14 @@ def test_constant_channel():
     mu, sigma = channel_stats(x)  # default eps_var
     assert np.allclose(mu, 3.0)
     assert np.allclose(sigma, np.sqrt(1e-6))
+
+
+def test_eps_var_is_one_constant():
+    # defined in layers, whose channel_mean_std is the one formula;
+    # stats re-exports it for augment and the callers of channel_stats
+    assert stats.EPS_VAR is AUGMENT_EPS_VAR is layers.EPS_VAR == 1e-6
+    for fn in (layers.channel_mean_std, channel_stats, ffa_forward):
+        assert inspect.signature(fn).parameters["eps_var"].default is layers.EPS_VAR
 
 
 def test_single_pixel():
