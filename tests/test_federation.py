@@ -180,29 +180,36 @@ def test_select_bad_participation():
 CFG = ExperimentConfig(algorithm="fedavg")
 
 
+def _uploads_of(client_id, channels=(2,)):
+    """One statistic per entry of channels: mu_bar holds client_id to the
+    powers 1, 2, ..., so the coefficients depend on which clients upload;
+    sigma_bar is one."""
+    return [_ms(float(client_id) ** np.arange(1, c + 1), np.ones(c))
+            for c in channels]
+
+
 def _const_train_fn(delta=0.0, loss=1.0, n=10, fail_ids=(), channels=(2,)):
-    """Local step that adds delta to every parameter and uploads one
-    statistic per entry of channels, mu_bar filled with the client id."""
+    """Local step that adds delta to every parameter and uploads
+    _uploads_of(client_id, channels)."""
 
     def fn(client, round_index, params, coeffs):
         if client.client_id in fail_ids:
             raise ClientTrainingError("boom")
-        momentum = [MomentumStats(np.stack((np.full(c, float(client.client_id)),
-                                            np.ones(c))))
-                    for c in channels]
         return LocalResult(params={k: v + delta for k, v in params.items()},
-                           momentum=momentum,
+                           momentum=_uploads_of(client.client_id, channels),
                            train_loss=loss + client.client_id, n_samples=n)
 
     return fn
 
 
 def _same_coeffs(coeffs, uploads):
-    """coeffs equal, bit for bit, those of uploads[client][site]."""
+    """coeffs equal, bit for bit, those of uploads[client][site], and are
+    not uniform, so another set of clients would give others."""
     want = [modulate(sharing_variances([u[k] for u in uploads]))
             for k in range(len(uploads[0]))]
     return len(coeffs) == len(want) and all(
-        np.array_equal(c, w) for c, w in zip(coeffs, want))
+        np.array_equal(c, w) and not np.array_equal(w[0], np.ones_like(w[0]))
+        for c, w in zip(coeffs, want))
 
 
 def _server(channels=(2,)):
@@ -250,9 +257,8 @@ def test_run_round_names_clients_by_id():
     report = run_round(server, clients, 1, CFG, _const_train_fn(fail_ids={2}))
     assert report.selected == [0, 2, 3]
     assert report.train_loss == {0: 1.0, 3: 4.0}
-    # coefficients from the survivors 0 and 3, whose mu_bar is their id
-    assert _same_coeffs(server.coeffs, [[_ms([0.0] * 2, [1.0] * 2)],
-                                        [_ms([3.0] * 2, [1.0] * 2)]])
+    # coefficients from the survivors 0 and 3 alone
+    assert _same_coeffs(server.coeffs, [_uploads_of(0), _uploads_of(3)])
     record = report.record({0: 0.5, 2: 0.25, 3: 0.75})
     assert record["round"] == 1
     assert record["selected"] == [0, 2, 3]
@@ -357,7 +363,7 @@ def test_run_round_computes_coeffs_from_uploads():
     server = _server(channels=(2,))
     run_round(server, _clients(3), 0, CFG, _const_train_fn())
     assert server.coeffs is not None and len(server.coeffs) == 1
-    # mu_bar values are 0,1,2 per client: nonzero spread, weights sum to C
+    # mu_bar spreads across clients, unevenly across channels: weights sum to C
     gamma_mu, gamma_sigma = server.coeffs[0]
     assert gamma_mu.sum() == pytest.approx(2.0, abs=1e-12)
     # sigma_bar identical across clients: zero variance degenerates to uniform
@@ -372,8 +378,7 @@ def test_run_round_failure_drops_client(caplog):
     assert report.selected == [0, 1, 2]
     assert sorted(report.train_loss) == [0, 2]
     # the dropped client's statistics reach no coefficient
-    assert _same_coeffs(server.coeffs, [[_ms([0.0] * 2, [1.0] * 2)],
-                                        [_ms([2.0] * 2, [1.0] * 2)]])
+    assert _same_coeffs(server.coeffs, [_uploads_of(0), _uploads_of(2)])
     assert any("dropped" in r.message for r in caplog.records)
     # survivors still aggregate
     assert np.allclose(server.params["b"], 1.0)
@@ -400,8 +405,7 @@ def test_run_round_partial_participation_reads_this_rounds_uploads():
     half = dataclasses.replace(CFG, participation=0.5, seed=3)
     report = run_round(server, _clients(4), 1, half, _const_train_fn())
     assert len(report.selected) == 2
-    assert _same_coeffs(server.coeffs, [[_ms([float(i)] * 2, [1.0] * 2)]
-                                        for i in report.selected])
+    assert _same_coeffs(server.coeffs, [_uploads_of(i) for i in report.selected])
 
 
 def test_run_round_all_dropped_keeps_coeffs():
