@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stats import EPS_VAR, channel_stats
+from .stats import channel_stats
 from .tensor import Tensor, kernel_node
 
 VARIANTS = ("full", "client", "random")
@@ -102,7 +102,7 @@ def _shifts(fused: np.ndarray, eps) -> np.ndarray:
     return np.asarray(eps, dtype=np.float64) * np.sqrt(fused)[:, None, :]
 
 
-def ffa_forward(x: np.ndarray, fused, eps, eps_var: float = EPS_VAR):
+def ffa_forward(x: np.ndarray, fused, eps):
     """Forward kernel of the augmentation's deterministic core.
 
     Renormalizes x from its statistics (mu, sigma) onto the shifted ones:
@@ -111,7 +111,7 @@ def ffa_forward(x: np.ndarray, fused, eps, eps_var: float = EPS_VAR):
     statistics. eps is the [2,B,C] draw (see ``_shifts``). Returns the
     output, in x's memory layout, and the context of ``ffa_backward``.
     """
-    stats = channel_stats(x, eps_var=eps_var)
+    stats = channel_stats(x)
     if callable(fused):
         fused = fused(stats)
     mu, sigma = stats[..., None, None]
@@ -127,7 +127,7 @@ def ffa_backward(g: np.ndarray, ctx) -> np.ndarray:
     its statistics but not through the variance budgets.
 
     The closures of the graph out = p + mu_hat, p = sigma_hat * q,
-    q = xc / sigma, xc = x - mu, sigma = sqrt(var + eps_var),
+    q = xc / sigma, xc = x - mu, sigma = sqrt(var + layers.EPS_VAR),
     var = mean((x - mu)**2), mu = mean(x), in its topological order, with
     the same numpy operations. The graph's two x - mu nodes hold equal
     arrays; xc stands for both, and x takes its three terms in the graph's
@@ -163,10 +163,10 @@ def ffa_backward(g: np.ndarray, ctx) -> np.ndarray:
 
 
 def ffa_transform(x: Tensor, fused, eps_mu: np.ndarray,
-                  eps_sigma: np.ndarray, eps_var: float = EPS_VAR) -> Tensor:
+                  eps_sigma: np.ndarray) -> Tensor:
     """The kernel pair ``ffa_forward``/``ffa_backward`` as one Tensor node,
     with the draws of the mean and the std as two arrays."""
-    out, ctx = ffa_forward(x.data, fused, (eps_mu, eps_sigma), eps_var)
+    out, ctx = ffa_forward(x.data, fused, (eps_mu, eps_sigma))
     return kernel_node(out, (x,), lambda g: (ffa_backward(g, ctx),))
 
 
@@ -202,13 +202,12 @@ def augment(x, fused, cfg: FfaConfig, rng: np.random.Generator, eps=None):
     return out, functools.partial(ffa_backward, ctx=ctx)
 
 
-def noise_view(x: np.ndarray, fused: np.ndarray, used_eps,
-               eps_var: float = EPS_VAR) -> np.ndarray:
+def noise_view(x: np.ndarray, fused: np.ndarray, used_eps) -> np.ndarray:
     """Additive-noise form of the same perturbation.
 
     e = eps_sigma * S_sigma * (x - mu)/sigma + eps_mu * S_mu, so that
     x + e reproduces the augmented map exactly (up to rounding).
     """
-    mu, sigma = channel_stats(x, eps_var=eps_var)[..., None, None]
+    mu, sigma = channel_stats(x)[..., None, None]
     d_mu, d_sigma = _shifts(fused, used_eps)[..., None, None]
     return d_sigma * (x - mu) / sigma + d_mu

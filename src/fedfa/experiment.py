@@ -50,18 +50,18 @@ def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDa
 
 
 def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,
-                rng: np.random.Generator, lam: float | None = None):
+                rng: np.random.Generator):
     """Convex combination of the batch with a shuffled copy of itself.
 
-    Returns (x_mixed, y, y_partner, lam); the loss is the lam-weighted sum
-    of the losses against both label vectors.
+    lam is drawn from Beta(beta_param, beta_param), then the permutation,
+    both from rng. Returns (x_mixed, y, y_partner, lam); the loss is the
+    lam-weighted sum of the losses against both label vectors.
     """
     if beta_param <= 0:
         raise ValueError("beta_param must be positive")
     if x.shape[0] < 2:
         return x, y, y, 1.0
-    if lam is None:
-        lam = float(rng.beta(beta_param, beta_param))
+    lam = float(rng.beta(beta_param, beta_param))
     perm = rng.permutation(x.shape[0])
     x_mixed = lam * x + (1.0 - lam) * x[perm]
     return x_mixed, y, y[perm], lam
@@ -116,7 +116,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
         opt = Sgd(dict(params), lr=cfg.lr,
                   prox_mu=cfg.prox_mu if method.prox else 0.0,
                   anchor=params if method.prox else None)
-        momentum = [MomentumStats.fresh(c, cfg.alpha) for c in tracked]
+        momentum = [MomentumStats.fresh(c) for c in tracked]
         mix_rng = (stream(cfg.seed, "mixup", round_index, client.client_id)
                    if method.mixup else None)
 
@@ -128,7 +128,7 @@ def make_train_fn(cfg: ExperimentConfig, net_spec):
             def budget(st):
                 # called only when the gate fires, with its one set of statistics
                 if momentum:
-                    momentum[k] = momentum_update(momentum[k], st)
+                    momentum[k] = momentum_update(momentum[k], st, cfg.alpha)
                 return variant_variances(ffa_cfg, batch_variances(st), gamma)
 
             return lambda x: augment(x, budget, ffa_cfg, rng)

@@ -373,7 +373,7 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
                        lambda g: (softmax_cross_entropy_backward(g, ctx),))
 
 
-def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = EPS_VAR):
+def channel_mean_std(x: Tensor | np.ndarray):
     """Per-sample per-channel spatial statistics, the one implementation of
     them.
 
@@ -381,19 +381,19 @@ def channel_mean_std(x: Tensor | np.ndarray, eps_var: float = EPS_VAR):
     [B,C,1,1]. For an ndarray x (``stats.channel_stats``), returns one
     [2,B,C,1,1] array whose leading axis is (mu, sigma), from the same
     numpy arithmetic; it unpacks as the pair does. sigma is the square
-    root of the population spatial variance plus eps_var, which keeps the
+    root of the population spatial variance plus EPS_VAR, which keeps the
     node differentiable on constant channels.
     """
     if isinstance(x, Tensor):
         mu = x.mean(axis=(2, 3), keepdims=True)
         var = ((x - mu) ** 2).mean(axis=(2, 3), keepdims=True)
-        return mu, (var + eps_var).sqrt()
+        return mu, (var + EPS_VAR).sqrt()
     x = np.asarray(x, dtype=np.float64)
     inv_n = 1.0 / float(x.shape[2] * x.shape[3])
     pair = np.empty((2,) + x.shape[:2] + (1, 1))
     mu = np.multiply(x.sum(axis=(2, 3), keepdims=True), inv_n, out=pair[0])
     var = ((x - mu) ** 2).sum(axis=(2, 3), keepdims=True) * inv_n
-    np.sqrt(var + eps_var, out=pair[1])
+    np.sqrt(var + EPS_VAR, out=pair[1])
     return pair
 
 

@@ -20,12 +20,9 @@ class Sgd:
         self.anchor = anchor
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update from the gradients by name; a parameter without one
-        stays as it is."""
+        """One update from the gradients by name, one for every parameter."""
         for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             # keep the zero-coefficient path bit-identical to plain SGD
             if self.prox_mu != 0.0:
                 g = g + self.prox_mu * (p - self.anchor[name])

@@ -7,8 +7,9 @@ unstacked array; every formula below runs once on the stacked array.
 
 All estimators here are population (biased) moments: spatial variance is
 averaged over H*W, batch variance over B. The spatial moments have one
-implementation, ``layers.channel_mean_std``; ``channel_stats`` views its
-array output as [2,B,C].
+implementation, ``layers.channel_mean_std``, whose std carries
+``layers.EPS_VAR`` under the root; ``channel_stats`` views its array output
+as [2,B,C].
 """
 
 from __future__ import annotations
@@ -17,19 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import EPS_VAR, channel_mean_std
+from .layers import channel_mean_std
 
 
-def channel_stats(x: np.ndarray, eps_var: float = EPS_VAR) -> np.ndarray:
-    """Spatial mean and std of a feature map [B,C,H,W], as [2,B,C].
-
-    eps_var is added under the square root; pass 0 for exact values.
-    """
+def channel_stats(x: np.ndarray) -> np.ndarray:
+    """Spatial mean and std of a feature map [B,C,H,W], as [2,B,C]."""
     if x.ndim != 4:
         raise ValueError(f"expected [B,C,H,W], got shape {x.shape}")
     if x.shape[2] * x.shape[3] == 0:
         raise ValueError("empty spatial extent")
-    return channel_mean_std(x, eps_var=eps_var)[..., 0, 0]
+    return channel_mean_std(x)[..., 0, 0]
 
 
 def _batch_mean(stats: np.ndarray, keepdims: bool = False) -> np.ndarray:
@@ -60,7 +58,6 @@ class MomentumStats:
     """
 
     pair: np.ndarray
-    alpha: float = 0.99
 
     @property
     def mu_bar(self) -> np.ndarray:
@@ -71,13 +68,13 @@ class MomentumStats:
         return self.pair[1]
 
     @classmethod
-    def fresh(cls, channels: int, alpha: float = 0.99) -> "MomentumStats":
-        return cls(np.stack((np.zeros(channels), np.ones(channels))), alpha)
+    def fresh(cls, channels: int) -> "MomentumStats":
+        return cls(np.stack((np.zeros(channels), np.ones(channels))))
 
 
-def momentum_update(ms: MomentumStats, stats: np.ndarray) -> MomentumStats:
-    """Pull the running pair toward the batch means of stats [2,B,C]."""
-    a = ms.alpha
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must lie in [0,1], got {a}")
-    return MomentumStats(a * ms.pair + (1.0 - a) * _batch_mean(stats), a)
+def momentum_update(ms: MomentumStats, stats: np.ndarray,
+                    alpha: float) -> MomentumStats:
+    """Pull the running pair toward the batch means of stats [2,B,C]:
+    alpha * pair + (1 - alpha) * batch mean, alpha in [0,1] (the config's,
+    checked by ``ExperimentConfig.validate``)."""
+    return MomentumStats(alpha * ms.pair + (1.0 - alpha) * _batch_mean(stats))

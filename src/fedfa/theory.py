@@ -32,7 +32,6 @@ class TheoryCheckReport:
     scales: list[float]
     residuals: list[float]
     exponent: float | None
-    loss_clean: float
     linear_coefficient: float
     usable_points: int
 
@@ -108,8 +107,7 @@ def theory_check(net: ConvNet, batch, noises, scales) -> TheoryCheckReport:
         exponent = None
     return TheoryCheckReport(
         scales=scales, residuals=residuals, exponent=exponent,
-        loss_clean=loss0, linear_coefficient=lin,
-        usable_points=len(usable),
+        linear_coefficient=lin, usable_points=len(usable),
     )
 
 

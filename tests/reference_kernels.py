@@ -29,7 +29,6 @@ import importlib
 import numpy as np
 
 from fedfa import experiment, layers
-from fedfa.stats import EPS_VAR
 from fedfa.tensor import Tensor
 
 # the module: the package name fedfa.augment is the function
@@ -108,8 +107,8 @@ def relu_maxpool2x2(z):
     return layers.maxpool2x2(z.relu())
 
 
-def ffa_transform(x, fused, eps_mu, eps_sigma, eps_var=EPS_VAR):
-    mu, sigma = layers.channel_mean_std(x, eps_var=eps_var)
+def ffa_transform(x, fused, eps_mu, eps_sigma):
+    mu, sigma = layers.channel_mean_std(x)
     if callable(fused):
         fused = fused(np.stack((mu.data, sigma.data))[..., 0, 0])
     d_mu, d_sigma = augment._shifts(fused, (eps_mu, eps_sigma))[..., None, None]

@@ -6,11 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 from fedfa.augment import (FfaConfig, augment, draw_eps, ffa_transform, fuse,
                            modulate, noise_view, variant_variances)
+from fedfa.layers import EPS_VAR
 from fedfa.stats import channel_stats
 from fedfa.tensor import Tensor
 from gradcheck import check_grads
 
-SQRT5 = np.sqrt(5.0)
+SIGMA = np.sqrt(5.0 + EPS_VAR)  # the std of the hand cases' map [1, 3, 5, 7]
 
 
 # ---------------------------------------------------------------- modulate
@@ -141,12 +142,12 @@ def test_config_validation():
 # --------------------------------------------------------------- transform
 
 def test_transform_hand_case():
-    # map with mu=4 sigma=sqrt(5); unit budgets and eps=1 shift both stats by 1
+    # map with mu=4 sigma=SIGMA; unit budgets and eps=1 shift both stats by 1
     x = Tensor(np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2))
     fused = np.ones((2, 1))
     one = np.ones((1, 1))
-    out = ffa_transform(x, fused, one, one, eps_var=0.0)
-    want = np.array([2 - 3 / SQRT5, 4 - 1 / SQRT5, 6 + 1 / SQRT5, 8 + 3 / SQRT5])
+    out = ffa_transform(x, fused, one, one)
+    want = np.array([2 - 3 / SIGMA, 4 - 1 / SIGMA, 6 + 1 / SIGMA, 8 + 3 / SIGMA])
     assert np.allclose(out.data.reshape(-1), want, atol=1e-12)
 
 
@@ -163,10 +164,10 @@ def test_transform_noise_view_hand_case():
     x = np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2)
     fused = np.ones((2, 1))
     one = np.ones((1, 1))
-    e = noise_view(x, fused, np.ones((2, 1, 1)), eps_var=0.0)
-    want = np.array([1 - 3 / SQRT5, 1 - 1 / SQRT5, 1 + 1 / SQRT5, 1 + 3 / SQRT5])
+    e = noise_view(x, fused, np.ones((2, 1, 1)))
+    want = np.array([1 - 3 / SIGMA, 1 - 1 / SIGMA, 1 + 1 / SIGMA, 1 + 3 / SIGMA])
     assert np.allclose(e.reshape(-1), want, atol=1e-12)
-    out = ffa_transform(Tensor(x), fused, one, one, eps_var=0.0)
+    out = ffa_transform(Tensor(x), fused, one, one)
     assert np.allclose(x + e, out.data, atol=1e-12)
 
 
@@ -261,11 +262,13 @@ def test_batch_statistics_shift_as_requested():
     x = rng.standard_normal((4, 2, 5, 5))
     fused = np.array([[0.5, 2.0], [0.1, 0.3]])
     eps = rng.standard_normal((2, 4, 2))
-    out = ffa_transform(Tensor(x), fused, *eps, eps_var=0.0)
-    want_mu, want_sigma = (channel_stats(x, eps_var=0.0)
-                           + eps * np.sqrt(fused)[:, None, :])
-    after_mu, after_sigma = channel_stats(out.data, eps_var=0.0)
+    out = ffa_transform(Tensor(x), fused, *eps)
+    sigma = channel_stats(x)[1]
+    want_mu, want_sigma = (channel_stats(x) + eps * np.sqrt(fused)[:, None, :])
+    after_mu, after_sigma = channel_stats(out.data)
     assert np.allclose(after_mu, want_mu, atol=1e-9)
-    # new scale only matches when it stayed positive
-    ok = want_sigma > 1e-6
-    assert np.allclose(after_sigma[ok], want_sigma[ok], atol=1e-9)
+    # the map's spatial variance sigma**2 - EPS_VAR scales by
+    # (want_sigma / sigma)**2, and the std takes EPS_VAR under its root again
+    var = sigma ** 2 - EPS_VAR
+    assert np.allclose(after_sigma ** 2,
+                       want_sigma ** 2 * var / sigma ** 2 + EPS_VAR, atol=1e-9)

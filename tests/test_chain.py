@@ -53,7 +53,7 @@ def make_hooks(variant, p, sites, seed, coeffs):
         rng = stream(seed, "ffa", k)
 
         def budget(st):
-            momentum[k] = momentum_update(momentum[k], st)
+            momentum[k] = momentum_update(momentum[k], st, 0.99)
             return variant_variances(cfg, batch_variances(st), coeffs[k])
 
         return lambda x: augment(x, budget, cfg, rng)

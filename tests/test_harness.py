@@ -115,22 +115,26 @@ def test_config_name():
 # ------------------------------------------------------------------- mixup
 
 def test_mixup_lam_one_identity():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 2, 3, 3))
+    # lam is rng's first draw, then the partner permutation; the batch is
+    # blended with weight lam, exactly
+    x = np.random.default_rng(0).standard_normal((4, 2, 3, 3))
     y = np.arange(4)
-    xm, ya, yb, lam = mixup_batch(x, y, 0.2, rng, lam=1.0)
-    assert np.array_equal(xm, x)
+    xm, ya, yb, lam = mixup_batch(x, y, 0.2, np.random.default_rng(1))
+    replay = np.random.default_rng(1)
+    assert lam == replay.beta(0.2, 0.2)
+    perm = replay.permutation(4)
+    assert np.array_equal(xm, lam * x + (1.0 - lam) * x[perm])
     assert np.array_equal(ya, y)
-    assert lam == 1.0
+    assert np.array_equal(yb, y[perm])
 
 
 def test_mixup_half_blend_consistent():
     rng = np.random.default_rng(1)
     x = np.arange(4.0).reshape(4, 1, 1, 1)
     y = np.arange(4)
-    xm, ya, yb, lam = mixup_batch(x, y, 0.2, rng, lam=0.5)
+    xm, ya, yb, lam = mixup_batch(x, y, 0.2, rng)
     # partner labels identify the permutation; check the blend matches it
-    assert np.allclose(xm[:, 0, 0, 0], 0.5 * y + 0.5 * yb)
+    assert np.allclose(xm[:, 0, 0, 0], lam * y + (1.0 - lam) * yb)
     assert np.array_equal(ya, y)
 
 
@@ -714,8 +718,8 @@ def test_check_theory_band_is_one_constant(monkeypatch, capsys):
     from fedfa import theory
 
     report = theory.TheoryCheckReport(scales=[0.1], residuals=[1e-3],
-                                      exponent=2.5, loss_clean=1.0,
-                                      linear_coefficient=0.0, usable_points=2)
+                                      exponent=2.5, linear_coefficient=0.0,
+                                      usable_points=2)
     monkeypatch.setattr(theory, "reference_check", lambda seed: report)
     assert main(["check", "theory"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
@@ -732,8 +736,8 @@ def test_check_theory_without_an_exponent_fails(monkeypatch, capsys):
     from fedfa import theory
 
     report = theory.TheoryCheckReport(scales=[0.1, 0.01], residuals=[1e-3, 0.0],
-                                      exponent=None, loss_clean=1.0,
-                                      linear_coefficient=0.0, usable_points=1)
+                                      exponent=None, linear_coefficient=0.0,
+                                      usable_points=1)
     monkeypatch.setattr(theory, "reference_check", lambda seed: report)
     assert main(["check", "theory"]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (

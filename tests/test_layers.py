@@ -591,9 +591,10 @@ def test_cross_entropy_large_logits_stable():
 
 def test_channel_mean_std_exact_mode():
     x = Tensor(np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2))
-    mu, sigma = channel_mean_std(x, eps_var=0.0)
+    mu, sigma = channel_mean_std(x)
     assert mu.data.item() == 4.0
-    assert sigma.data.item() == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    assert sigma.data.item() == pytest.approx(np.sqrt(5.0 + layers.EPS_VAR),
+                                              abs=1e-12)
 
 
 def test_channel_mean_std_grads():
@@ -603,7 +604,7 @@ def test_channel_mean_std_grads():
     r2 = rng.standard_normal((2, 3, 1, 1))
 
     def loss(tx):
-        mu, sigma = channel_mean_std(tx, eps_var=1e-6)
+        mu, sigma = channel_mean_std(tx)
         return (mu * r1).sum() + (sigma * r2).sum()
 
     check_grads(loss, [x])

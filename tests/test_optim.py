@@ -10,13 +10,6 @@ def test_plain_step():
     assert np.allclose(params["w"], [0.95, 2.1])
 
 
-def test_skips_params_without_grad():
-    params = {"w": np.array([1.0]), "v": np.array([3.0])}
-    Sgd(params, lr=0.1).step({"v": np.array([1.0])})
-    assert np.array_equal(params["w"], [1.0])
-    assert np.allclose(params["v"], [2.9])
-
-
 def test_step_rebinds_instead_of_writing():
     # the dict may start with the broadcast model's arrays: they stay as sent
     w = np.array([1.0, 2.0])

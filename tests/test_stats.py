@@ -1,12 +1,9 @@
-import inspect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedfa import layers, stats
-from fedfa.augment import EPS_VAR as AUGMENT_EPS_VAR, ffa_forward
+from fedfa.layers import EPS_VAR
 from fedfa.stats import (MomentumStats, batch_variances, channel_stats,
                          momentum_update)
 
@@ -19,32 +16,24 @@ def _pair(mu, sigma):
 
 def test_hand_case_1357():
     x = np.array([1.0, 3.0, 5.0, 7.0]).reshape(1, 1, 2, 2)
-    mu, sigma = channel_stats(x, eps_var=0.0)
+    mu, sigma = channel_stats(x)
     assert mu.item() == 4.0
-    assert sigma.item() == pytest.approx(np.sqrt(5.0), abs=1e-12)
+    assert sigma.item() == pytest.approx(np.sqrt(5.0 + EPS_VAR), abs=1e-12)
 
 
 def test_constant_channel():
     x = np.full((2, 3, 4, 4), 3.0)
-    mu, sigma = channel_stats(x)  # default eps_var
+    mu, sigma = channel_stats(x)
     assert np.allclose(mu, 3.0)
     assert np.allclose(sigma, np.sqrt(1e-6))
 
 
-def test_eps_var_is_one_constant():
-    # defined in layers, whose channel_mean_std is the one formula;
-    # stats re-exports it for augment and the callers of channel_stats
-    assert stats.EPS_VAR is AUGMENT_EPS_VAR is layers.EPS_VAR == 1e-6
-    for fn in (layers.channel_mean_std, channel_stats, ffa_forward):
-        assert inspect.signature(fn).parameters["eps_var"].default is layers.EPS_VAR
-
-
 def test_single_pixel():
     x = np.arange(6.0).reshape(2, 3, 1, 1)
-    st_ = channel_stats(x, eps_var=0.0)
+    st_ = channel_stats(x)
     assert st_.shape == (2, 2, 3)
     assert np.array_equal(st_[0], x[:, :, 0, 0])
-    assert np.array_equal(st_[1], np.zeros((2, 3)))
+    assert np.array_equal(st_[1], np.full((2, 3), np.sqrt(EPS_VAR)))
 
 
 def test_rank_check():
@@ -69,7 +58,7 @@ def test_batch_variance_identical_samples_zero():
 def test_batch_variance_hand_case():
     # two samples whose channel means are 1 and 3: biased variance 1.0
     x = np.stack([np.full((1, 2, 2), 1.0), np.full((1, 2, 2), 3.0)])
-    bv = batch_variances(channel_stats(x, eps_var=0.0))
+    bv = batch_variances(channel_stats(x))
     assert np.allclose(bv, [[1.0], [0.0]])
 
 
@@ -78,21 +67,20 @@ def test_momentum_fresh_init():
     assert np.array_equal(ms.mu_bar, np.zeros(5))
     assert np.array_equal(ms.sigma_bar, np.ones(5))
     assert ms.pair.shape == (2, 5)
-    assert ms.alpha == 0.99
 
 
 def test_momentum_alpha_one_keeps_state():
-    ms = MomentumStats(_pair([2.0], [3.0]), alpha=1.0)
+    ms = MomentumStats(_pair([2.0], [3.0]))
     stats = _pair([[10.0]], [[10.0]])
-    out = momentum_update(ms, stats)
+    out = momentum_update(ms, stats, 1.0)
     assert np.array_equal(out.mu_bar, [2.0])
     assert np.array_equal(out.sigma_bar, [3.0])
 
 
 def test_momentum_alpha_zero_takes_batch_mean():
-    ms = MomentumStats.fresh(1, alpha=0.0)
+    ms = MomentumStats.fresh(1)
     stats = _pair([[1.0], [3.0]], [[2.0], [4.0]])
-    out = momentum_update(ms, stats)
+    out = momentum_update(ms, stats, 0.0)
     assert np.array_equal(out.mu_bar, [2.0])
     assert np.array_equal(out.sigma_bar, [3.0])
 
@@ -100,7 +88,7 @@ def test_momentum_alpha_zero_takes_batch_mean():
 def test_momentum_default_step_hand_case():
     ms = MomentumStats.fresh(1)
     stats = _pair([[1.0]], [[1.0]])
-    out = momentum_update(ms, stats)
+    out = momentum_update(ms, stats, 0.99)
     assert out.mu_bar.item() == pytest.approx(0.01, abs=1e-15)
     # sigma_bar starts at 1 and the batch mean is 1: stays put
     assert out.sigma_bar.item() == pytest.approx(1.0, abs=1e-15)
@@ -109,15 +97,8 @@ def test_momentum_default_step_hand_case():
 def test_momentum_is_pure():
     ms = MomentumStats.fresh(1)
     stats = _pair([[5.0]], [[5.0]])
-    momentum_update(ms, stats)
+    momentum_update(ms, stats, 0.99)
     assert np.array_equal(ms.mu_bar, [0.0])
-
-
-def test_momentum_bad_alpha():
-    ms = MomentumStats(_pair([0.0], [1.0]), alpha=1.5)
-    stats = _pair([[1.0]], [[1.0]])
-    with pytest.raises(ValueError, match="alpha"):
-        momentum_update(ms, stats)
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,10 +106,12 @@ def test_momentum_bad_alpha():
        st.integers(0, 2 ** 31 - 1))
 def test_scale_equivariance(a, b, seed):
     x = np.random.default_rng(seed).standard_normal((2, 3, 4, 4))
-    base_mu, base_sigma = channel_stats(x, eps_var=0.0)
-    mu, sigma = channel_stats(a * x + b, eps_var=0.0)
+    base_mu, base_sigma = channel_stats(x)
+    mu, sigma = channel_stats(a * x + b)
     assert np.allclose(mu, a * base_mu + b, atol=1e-9)
-    assert np.allclose(sigma, abs(a) * base_sigma, atol=1e-9)
+    # the spatial variances, sigma**2 less EPS_VAR, scale by a**2
+    assert np.allclose(sigma ** 2 - EPS_VAR, a ** 2 * (base_sigma ** 2 - EPS_VAR),
+                       atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,9 +128,9 @@ def test_batch_variance_permutation_invariant(seed):
 @given(st.floats(0, 1), st.integers(0, 2 ** 31 - 1))
 def test_momentum_contraction(alpha, seed):
     rng = np.random.default_rng(seed)
-    ms = MomentumStats(rng.standard_normal((2, 3)), alpha)
+    ms = MomentumStats(rng.standard_normal((2, 3)))
     stats = rng.standard_normal((2, 4, 3))
-    out = momentum_update(ms, stats)
+    out = momentum_update(ms, stats, alpha)
     batch = stats.mean(axis=1)
     assert np.allclose(np.abs(out.pair - batch),
                        alpha * np.abs(ms.pair - batch), atol=1e-9)
@@ -159,6 +142,6 @@ def test_batch_moments_bit_identical_to_numpy(batch, channels):
     rng = np.random.default_rng(batch * 100 + channels)
     stats = rng.standard_normal((2, batch, channels)) * rng.uniform(0.1, 100.0)
     assert np.array_equal(batch_variances(stats), stats.var(axis=1))
-    ms = MomentumStats(rng.standard_normal((2, channels)), 0.9)
+    ms = MomentumStats(rng.standard_normal((2, channels)))
     want = 0.9 * ms.pair + (1.0 - 0.9) * stats.mean(axis=1)
-    assert np.array_equal(momentum_update(ms, stats).pair, want)
+    assert np.array_equal(momentum_update(ms, stats, 0.9).pair, want)
