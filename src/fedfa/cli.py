@@ -20,6 +20,7 @@ import numpy as np
 
 from .allocator import pin_malloc_thresholds
 from .config import ALGORITHMS, ExperimentConfig
+from .data import PartitionError
 from .experiment import leave_one_out, resolve_run_root, run_experiment
 from .federation import aggregate, comm_cost
 from .rng import stream
@@ -32,8 +33,8 @@ def _last_record(run_dir: str) -> dict:
 
 
 class BadConfig(Exception):
-    """A config file that cannot be read, parsed or validated; ``main``
-    prints it as ``<path>: <reason>`` and exits 2."""
+    """A config file that cannot be read, parsed, validated or partitioned;
+    ``main`` prints it as ``<path>: <reason>`` and exits 2."""
 
 
 def _read_config(path) -> ExperimentConfig:
@@ -47,7 +48,10 @@ def _read_config(path) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     cfg = _read_config(args.config)
-    run_dir = run_experiment(cfg, run_root=args.run_root)
+    try:
+        run_dir = run_experiment(cfg, run_root=args.run_root)
+    except PartitionError as e:
+        raise BadConfig(f"{args.config}: {e}") from None
     last = _last_record(run_dir)
     print(f"{run_dir}: round {last['round']} "
           f"mean_test_acc {last['mean_test_acc']:.4f}")
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the numerical verification suites")
     p.add_argument("what", choices=["theory", "invariants"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("report", help="summarize run directories")

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("batch_size must be positive")
         if self.clients < 1:
             raise ValueError("clients must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not 0.0 < self.participation <= 1.0:
             raise ValueError("participation must lie in (0, 1]")
         if self.aggregation not in ("samples", "uniform"):

@@ -26,6 +26,11 @@ import numpy as np
 from .rng import stream
 
 
+class PartitionError(ValueError):
+    """Labels that cannot be split into clients with training and test
+    data; a config can pass ``validate`` and still ask for such a split."""
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     classes: int = 6
@@ -191,7 +196,7 @@ def _partition(assignment: list[np.ndarray], classes: int, test_fraction: float,
         n_test = max(1, int(round(test_fraction * idx.size)))
         n_train.append(idx.size - n_test)
         if n_train[-1] < 1:
-            raise ValueError(f"client {i} would have no training data")
+            raise PartitionError(f"client {i} would have no training data")
     return Partition(rows=rows, n_train=n_train, classes=classes)
 
 
@@ -238,7 +243,7 @@ def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
         raise ValueError("concentration must be positive")
     n = y.shape[0]
     if n < m:
-        raise ValueError(f"{n} samples cannot cover {m} clients")
+        raise PartitionError(f"{n} samples cannot cover {m} clients")
     rng = stream(seed, "data", 7)
     for _attempt in range(100):
         buckets: list[list[np.ndarray]] = [[] for _ in range(m)]
@@ -254,7 +259,7 @@ def dirichlet_partition(y: np.ndarray, m: int, concentration: float, seed: int,
         assignment = [np.concatenate(b) if b else np.empty(0, dtype=int) for b in buckets]
         if all(a.size >= 2 for a in assignment):
             return _partition(assignment, classes, test_fraction, seed)
-    raise RuntimeError("could not draw a partition with all clients nonempty")
+    raise PartitionError("could not draw a partition with all clients nonempty")
 
 
 def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
@@ -268,7 +273,7 @@ def size_skew(y: np.ndarray, m: int, ratio: float, seed: int,
     weights = np.array([q ** i for i in range(m)])
     counts = _largest_remainder(n * weights / weights.sum())
     if min(counts) < 2:
-        raise ValueError("smallest client would be empty; lower ratio or add data")
+        raise PartitionError("smallest client would be empty; lower ratio or add data")
     rng = stream(seed, "data", 8)
     order = rng.permutation(n)
     assignment = []

@@ -209,14 +209,18 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
 
 
 def run_experiment(cfg: ExperimentConfig, run_root=None) -> str:
-    """Run one experiment end to end; returns the run directory path."""
+    """Run one experiment end to end; returns the run directory path.
+
+    The config is validated and the dataset built before the run directory
+    is made, so a config that cannot run (a ``data.PartitionError``)
+    leaves nothing behind.
+    """
     cfg.validate()
+    t0 = time.perf_counter()
+    ds = build_dataset(cfg.dataset, cfg.clients, cfg.seed)
     run_dir = os.path.join(resolve_run_root(run_root), cfg.name)
     os.makedirs(run_dir, exist_ok=True)
     cfg.to_json(os.path.join(run_dir, "config.json"))
-
-    t0 = time.perf_counter()
-    ds = build_dataset(cfg.dataset, cfg.clients, cfg.seed)
     server, net_spec, records, timings = federated_training(
         cfg, ds, list(range(cfg.clients)))
 

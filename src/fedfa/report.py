@@ -25,12 +25,32 @@ def _read_json(path, lines: bool = False):
     return values if lines else values[0]
 
 
+# what the CSV and the SVG read of each record: round an integer, the means
+# a number or null (an absent mean reads as null)
+_FIELDS = {"round": ((int,), "an integer"),
+           "mean_test_acc": ((int, float, type(None)), "a number or null"),
+           "mean_train_loss": ((int, float, type(None)), "a number or null")}
+
+
+def _check_records(path, records) -> None:
+    """A ValueError naming path, the record and the first field of it that
+    the report cannot read (true is no number here)."""
+    for i, rec in enumerate(records, start=1):
+        for key, (types, name) in _FIELDS.items():
+            value = rec.get(key)
+            if not isinstance(value, types) or isinstance(value, bool):
+                got = json.dumps(value) if key in rec else "no value"
+                raise ValueError(f"{path}: record {i}: {key}: expected {name}, "
+                                 f"got {got}")
+
+
 def collect_runs(root):
     """Find run directories (root itself or its children) and load metrics.
 
     Returns (runs, warnings); each run is a dict with algorithm, seed and
     the parsed metric records. A run whose config.json or metrics.jsonl
-    does not parse is skipped with a warning naming the file.
+    does not parse, or holds a record the report cannot read, is skipped
+    with a warning naming the file.
     """
     if os.path.isfile(os.path.join(root, "metrics.jsonl")):
         candidates = [root]
@@ -49,6 +69,7 @@ def collect_runs(root):
         try:
             cfg = _read_json(cfg_path) if has_cfg else {}
             records = _read_json(metrics, lines=True)
+            _check_records(metrics, records)
         except ValueError as err:
             warnings.append(f"{err}, skipped")
             continue
@@ -125,11 +146,14 @@ def write_accuracy_svg(runs, path) -> None:
 
 
 def emit_report(root):
-    """Write summary.csv and accuracy.svg under root; returns the paths.
-    Raises FileNotFoundError if root holds no run."""
+    """Write summary.csv and accuracy.svg under root; returns the paths
+    and the warnings. Raises FileNotFoundError if root holds no run it can
+    read; its message starts with the warnings, one line each."""
     runs, warnings = collect_runs(root)
     if not runs:
-        raise FileNotFoundError(f"{root}: no run directory with a metrics.jsonl")
+        raise FileNotFoundError("\n".join(
+            [f"warning: {w}" for w in warnings]
+            + [f"{root}: no run directory with a metrics.jsonl"]))
     csv_path = os.path.join(root, "summary.csv")
     svg_path = os.path.join(root, "accuracy.svg")
     write_summary_csv(runs, csv_path)

@@ -87,7 +87,7 @@ def test_config_validation():
     ("image_size", 0), ("image_size", -4), ("noise", -1.0),
     ("shift_strength", -0.5), ("concentration", 0.0), ("concentration", -1.0),
     ("size_ratio", 0.5), ("test_fraction", -0.1), ("test_fraction", 1.0),
-    ("clients", 1)])
+    ("clients", 1), ("alpha", -0.1), ("alpha", 1.5), ("seed", -1)])
 def test_config_rejects_bad_knob(tmp_path, field, value):
     # rejected whatever the algorithm, and before the run directory exists
     cfg = tiny_cfg(algorithm="fedavg", **{field: value})
@@ -518,6 +518,29 @@ def test_report_skips_a_run_that_does_not_parse(tmp_path, capsys, name):
     assert capsys.readouterr().err == f"warning: {warnings[0]}\n"
 
 
+@pytest.mark.parametrize("record, reason", [
+    ('{"mean_test_acc": 0.5}', "record 2: round: expected an integer, got no value"),
+    ('{"round": "x", "mean_test_acc": "a"}',
+     'record 2: round: expected an integer, got "x"'),
+    ('{"round": 1, "mean_test_acc": 0.5, "mean_train_loss": true}',
+     "record 2: mean_train_loss: expected a number or null, got true"),
+], ids=["no-round", "string-values", "bool-loss"])
+def test_report_skips_a_run_it_cannot_plot(tmp_path, capsys, record, reason):
+    # records that parse, but lack the round or hold a string where the CSV
+    # and the SVG read an integer or a number
+    good = run_experiment(tiny_cfg(rounds=1, run_name="good"), run_root=tmp_path)
+    bad = run_experiment(tiny_cfg(rounds=1, run_name="bad"), run_root=tmp_path)
+    path = os.path.join(bad, "metrics.jsonl")
+    first = open(path).readline()
+    with open(path, "w") as f:
+        f.write(first + record + "\n")
+    runs, warnings = collect_runs(tmp_path)
+    assert [r["dir"] for r in runs] == [good]
+    assert warnings == [f"{path}: {reason}, skipped"]
+    assert main(["report", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == f"warning: {warnings[0]}\n"
+
+
 def test_report_accepts_single_run_dir(tmp_path):
     run_dir = run_experiment(tiny_cfg(rounds=1), run_root=tmp_path)
     runs, warnings = collect_runs(run_dir)
@@ -646,6 +669,7 @@ BAD_CONFIGS = {  # id: (file text, or None for no file; the reason printed)
     "float-for-dataset-int": ('{"dataset": {"classes": 2.5}}',
                               "dataset.classes: expected an integer, got 2.5"),
     "invalid-value": ('{"rounds": -1}', "rounds must be nonnegative"),
+    "negative-seed": ('{"seed": -1}', "seed must be nonnegative"),
     "not-json": ('{"rounds": }', "Expecting value: line 1 column 12 (char 11)"),
 }
 
@@ -665,6 +689,27 @@ def test_cli_names_the_config_and_its_fault(command, case, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"{path}: {reason}\n"
     assert not os.path.exists(tmp_path / "runs")  # rejected before any run
+
+
+@pytest.mark.parametrize("fields, reason", [
+    (dict(kind="size_skew", size_ratio=1000.0, clients=8),
+     "smallest client would be empty; lower ratio or add data"),
+    (dict(kind="size_skew", size_ratio=1.0, test_fraction=0.9,
+          train_per_client=1, test_per_client=1),
+     "client 0 would have no training data"),
+    (dict(kind="dirichlet", concentration=0.001, clients=8,
+          train_per_client=1, test_per_client=1),
+     "could not draw a partition with all clients nonempty"),
+], ids=["size-skew-empty-client", "no-training-data", "dirichlet-undrawable"])
+def test_cli_run_names_an_undrawable_partition(fields, reason, tmp_path, capsys):
+    # the config validates, but its labels cannot be split into clients
+    path = tmp_path / "cfg.json"
+    tiny_cfg(**fields).to_json(path)
+    assert main(["run", str(path), "--run-root", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}: {reason}\n"
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_compare_needs_two_seeds(tmp_path):
@@ -700,9 +745,10 @@ def test_compare_needs_the_held_out_client(tmp_path, capsys):
      "argument --bytes-per-value: must be >= 1, got -4"),
     (["commcost", "8", "--bytes-per-value", "0"],
      "argument --bytes-per-value: must be >= 1, got 0"),
+    (["check", "theory", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
 ], ids=["commcost-0", "commcost-x", "compare-1-seed", "compare-workers--2",
         "compare-workers-0", "sweep-workers--1", "sweep-workers-0",
-        "commcost-bytes--4", "commcost-bytes-0"])
+        "commcost-bytes--4", "commcost-bytes-0", "check-seed--1"])
 def test_cli_rejects_bad_counts_with_a_usage_error(argv, error, capsys):
     # argparse rejects them, before anything runs
     with pytest.raises(SystemExit) as exit_info:
