@@ -539,6 +539,10 @@ def test_report_skips_a_run_it_cannot_plot(tmp_path, capsys, record, reason):
     assert warnings == [f"{path}: {reason}, skipped"]
     assert main(["report", str(tmp_path)]) == 0
     assert capsys.readouterr().err == f"warning: {warnings[0]}\n"
+    # with no run left, the warning still says why
+    assert main(["report", bad]) == 1
+    assert capsys.readouterr().err == (f"warning: {warnings[0]}\n"
+                                       f"{bad}: no run directory with a metrics.jsonl\n")
 
 
 def test_report_accepts_single_run_dir(tmp_path):
