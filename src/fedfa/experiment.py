@@ -209,12 +209,8 @@ def federated_training(cfg: ExperimentConfig, ds, client_ids):
 
 
 def run_experiment(cfg: ExperimentConfig, run_root=None) -> str:
-    """Run one experiment end to end; returns the run directory path.
-
-    The config is validated and the dataset built before the run directory
-    is made, so a config that cannot run (a ``data.PartitionError``)
-    leaves nothing behind.
-    """
+    """Run one experiment end to end; returns the run directory path, made
+    only once the dataset is built, so a ``data.PartitionError`` leaves none."""
     cfg.validate()
     t0 = time.perf_counter()
     ds = build_dataset(cfg.dataset, cfg.clients, cfg.seed)
