@@ -42,6 +42,7 @@ import numpy as np
 from fedfa.allocator import pin_malloc_thresholds
 from fedfa.config import ALGORITHMS, DATASET_KINDS, ExperimentConfig
 from fedfa.experiment import leave_one_out, run_experiment
+from fedfa.layers import _slab_forms_agree, default_net_spec
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "configs")
@@ -67,6 +68,19 @@ def fingerprint() -> str:
             core, threads = get_core().decode(), get_threads()
     return (f"# numpy {np.__version__}  blas {blas['name']} {blas.get('version', '')}"
             f"  core {core}  threads {threads}")
+
+
+def slab_verdicts(blocks=(128, 151)) -> str:
+    """Per stage of the default 8x8 net, whether ``layers.infer_logits``
+    multiplies one pool tap's slab at a time (True) or falls back to the
+    whole matrix (False), on this core, at the benchmark's block sizes."""
+    spec = default_net_spec()
+    # per stage: K, Cout and the pooled positions of one sample
+    shapes = [(s.in_ch * s.ksize ** 2, s.out_ch, (n // 2) ** 2)
+              for s, n in zip(spec.stages, spec.conv_sizes)]
+    return "# slab path, default net 8x8:" + "".join(
+        f"  b={b} {[_slab_forms_agree(k, cout, p * b) for k, cout, p in shapes]}"
+        for b in blocks)
 
 
 def hash_lines(configs):

@@ -21,7 +21,8 @@ import numpy as np
 from .allocator import pin_malloc_thresholds
 from .config import ALGORITHMS, ExperimentConfig
 from .data import PartitionError
-from .experiment import leave_one_out, resolve_run_root, run_experiment
+from .experiment import (check_partition, leave_one_out, resolve_run_root,
+                         run_experiment)
 from .federation import aggregate, comm_cost
 from .rng import stream
 from . import checkpoint
@@ -88,6 +89,11 @@ def _cmd_sweep(args) -> int:
                   f"{os.path.join(resolve_run_root(args.run_root), cfg.name)}",
                   file=sys.stderr)
             return 1
+    for path, cfg in zip(paths, cfgs):  # every partition before any run
+        try:
+            check_partition(cfg)
+        except PartitionError as e:
+            raise BadConfig(f"{path}: {e}") from None
     run_dirs = _run_all([partial(run_experiment, c, run_root=args.run_root)
                         for c in cfgs], args.workers)
     for path, run_dir in zip(paths, run_dirs):
@@ -124,11 +130,15 @@ def compare(base: ExperimentConfig, seeds: int, workers=None,
             run_root=None) -> dict:
     """Run every algorithm on seeds 0..seeds-1 into the run root, and
     fedavg and fedfa once more without client HELD_OUT; write the
-    accuracies and the PAIRS summaries to <run root>/compare.json."""
+    accuracies and the PAIRS summaries to <run root>/compare.json. A
+    seed whose partition cannot be drawn raises ``data.PartitionError``
+    before any run."""
     if seeds < 2:
         raise ValueError(f"compare needs at least 2 seeds, got {seeds}")
     if base.clients <= HELD_OUT:
         raise ValueError(_HELD_OUT_CLIENTS.format(base.clients))
+    for s in range(seeds):
+        check_partition(dataclasses.replace(base, seed=s))
     root = resolve_run_root(run_root)
     cfg = {(a, s): dataclasses.replace(base, algorithm=a, seed=s, run_name=None)
            for a in ALGORITHMS for s in range(seeds)}
@@ -156,7 +166,10 @@ def _cmd_compare(args) -> int:
     if base.clients <= HELD_OUT:  # before any run, as a bad config
         reason = _HELD_OUT_CLIENTS.format(base.clients)
         raise BadConfig(f"{args.config}: {reason}")
-    result = compare(base, args.seeds, args.workers, args.run_root)
+    try:
+        result = compare(base, args.seeds, args.workers, args.run_root)
+    except PartitionError as e:
+        raise BadConfig(f"{args.config}: {e}") from None
     n = result["seeds"]
     for name, s in result["paired"].items():
         print(f"{name:23s}  mean {s['mean']:+.4f}  95% CI "

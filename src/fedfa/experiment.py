@@ -29,14 +29,16 @@ def resolve_run_root(run_root=None) -> str:
     return run_root or os.environ.get("FEDFA_RUN_ROOT", "runs")
 
 
-def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDataset:
+def _base_sampler(dcfg: DatasetConfig, seed: int) -> datamod.BaseSampler:
     spec = datamod.TaskSpec(classes=dcfg.classes, image_size=dcfg.image_size,
                             channels=dcfg.channels, noise=dcfg.noise)
-    base = datamod.make_base_sampler(spec, seed)
-    if dcfg.kind == "feature_shift":
-        return datamod.make_feature_shift(
-            base, m, dcfg.shift_strength, seed,
-            dcfg.train_per_client, dcfg.test_per_client)
+    return datamod.make_base_sampler(spec, seed)
+
+
+def _draw_partition(dcfg: DatasetConfig, m: int, seed: int,
+                    base: datamod.BaseSampler):
+    """The pool's labels, the partition and the labels' stream, left where
+    the features are drawn; raises ``data.PartitionError``."""
     n = m * (dcfg.train_per_client + dcfg.test_per_client)
     rng = stream(seed, "data", 99)
     y = base.labels(n, rng)
@@ -46,7 +48,24 @@ def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDa
     else:
         part = datamod.size_skew(y, m, dcfg.size_ratio, seed, dcfg.test_fraction,
                                  classes=dcfg.classes)
-    return datamod.partition_dataset(base, y, part, rng)
+    return y, part, rng
+
+
+def build_dataset(dcfg: DatasetConfig, m: int, seed: int) -> datamod.FederatedDataset:
+    base = _base_sampler(dcfg, seed)
+    if dcfg.kind == "feature_shift":
+        return datamod.make_feature_shift(
+            base, m, dcfg.shift_strength, seed,
+            dcfg.train_per_client, dcfg.test_per_client)
+    return datamod.partition_dataset(base, *_draw_partition(dcfg, m, seed, base))
+
+
+def check_partition(cfg: ExperimentConfig) -> None:
+    """Raises the ``data.PartitionError`` cfg's run would raise, from its
+    labels and partition alone, without drawing a feature."""
+    if cfg.dataset.kind != "feature_shift":
+        _draw_partition(cfg.dataset, cfg.clients, cfg.seed,
+                        _base_sampler(cfg.dataset, cfg.seed))
 
 
 def mixup_batch(x: np.ndarray, y: np.ndarray, beta_param: float,

@@ -29,10 +29,11 @@ the graph's bit for bit (``net_backward`` says why the graph's gradient
 copies can be dropped).
 
 Evaluation (``predict``, which ``experiment.evaluate`` calls) has a loop
-of its own, ``infer_logits``, on blocks of a few dozen samples
-(``inference_blocks``). It keeps nothing for a backward pass and gives
-the logits of ``net_forward`` bit for bit, so predictions equal the
-argmax of the training forward.
+of its own, ``infer_logits``, on blocks of up to 151 samples at 8x8
+(``inference_blocks``). It gathers and multiplies one pool tap's quarter
+of each im2col matrix at a time, keeps nothing for a backward pass and
+gives the logits of ``net_forward`` bit for bit, so predictions equal
+the argmax of the training forward.
 
 The training kernels work in the memory order the conv matmul writes,
 NHWC, with im2col rows in (B, H, W) order, because the weight and bias
@@ -65,9 +66,10 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     """Flat gather index into C*H*W features in (C, H, W) order, plus one
     trailing zero; taps that fall in the padding point at the zero.
     Ordered (Ho, Wo, C, kh, kw) for ``_im2col``, or for ``infer_logits``
-    (C, kh, kw, i, j, Ho/2, Wo/2), the order of a transposed im2col matrix
-    whose output position (2p + i, 2q + j) is pool tap (i, j) of pooled
-    position (p, q). Read-only, because the cache shares it."""
+    (i, j, C, kh, kw, Ho/2, Wo/2): four slabs, one per pool tap (i, j),
+    each the transposed im2col matrix of the output positions
+    (2p + i, 2q + j) in pooled order (p, q). Read-only, because the cache
+    shares it."""
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
     if ho <= 0 or wo <= 0:
@@ -85,7 +87,7 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
     idx = np.where(inside, chan * (h * w) + rows * w + cols, c * h * w)
     if infer:
-        idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(4, 1, 3, 0, 2)
+        idx = idx.reshape(ho // 2, 2, wo // 2, 2, -1).transpose(1, 3, 4, 0, 2)
     idx = idx.ravel()
     idx.flags.writeable = False
     return idx, ho, wo
@@ -439,8 +441,10 @@ class NetSpec:
 
     @property
     def im2col_bytes(self) -> int:
-        """Bytes per sample of the net's largest float64 im2col matrix."""
-        return max(size * size * s.in_ch * s.ksize * s.ksize * 8
+        """Bytes per sample of the net's largest float64 im2col slab: one
+        pool tap's quarter of a stage's im2col matrix, the most
+        ``infer_logits`` gathers at once on its usual path."""
+        return max((size // 2) ** 2 * s.in_ch * s.ksize * s.ksize * 8
                    for s, size in zip(self.stages, self.conv_sizes))
 
     @property
@@ -555,22 +559,37 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
 
 
 @functools.cache
-def _gemm_forms_agree(k: int, cout: int, m: int) -> bool:
-    """Whether ``w @ cols`` (w [Cout, K], cols [K, M], both C-ordered)
-    equals ``net_forward``'s ``cols.T @ w.T``, cols.T copied to C order,
-    bit for bit on random draws from a private generator. Premise: two
-    call forms that agree on random data agree on all data, since BLAS
-    picks its kernel by shape and layout alone; so a verdict holds only on
-    the core that probed it."""
-    gen = np.random.default_rng(0)
+def _slab_forms_agree(k: int, cout: int, m: int) -> bool:
+    """Whether ``w @ slab`` (w [Cout, K], slab [K, m], both C-ordered)
+    equals the matching m rows of ``net_forward``'s ``cols @ w.T`` on the
+    whole C-ordered cols [4m, K], for each of its four slabs, bit for bit
+    on random draws from a private generator. The reference is the whole
+    matrix, not a slab's m rows, because OpenBLAS's small-matrix kernel
+    depends on the row count. Premise: two call forms that agree on random
+    data agree on all data, since BLAS picks its kernel by shape and
+    layout alone; so a verdict holds only on the core that probed it."""
     # draws until 256 outputs are compared: where the forms differ, one
     # output coincides by chance up to ~80 % of the time (at Cout = 1,
-    # K = 2..5), so even two draws of (K=3, Cout=1, M=2) can agree
-    for _ in range(-(-256 // (cout * m))):
-        cols, w = gen.uniform(-1.0, 1.0, (k, m)), gen.uniform(-1.0, 1.0, (cout, k))
-        if not np.array_equal(w @ cols, (np.ascontiguousarray(cols.T) @ w.T).T):
-            return False
+    # K = 2..5), so one draw of (K=3, Cout=1, m=1) agrees 34 % of the time
+    for d in range(-(-256 // (cout * 4 * m))):
+        w = _uniform(np.random.default_rng((d, 1)), (cout, k))
+        # the whole matrix lives only for its call; each slab is then drawn
+        # again from the same stream, which fills rows in order
+        whole = _uniform(np.random.default_rng((d, 0)), (4 * m, k)) @ w.T
+        again = np.random.default_rng((d, 0))
+        for t in range(0, 4 * m, m):
+            slab = np.ascontiguousarray(_uniform(again, (m, k)).T)
+            if not np.array_equal(w @ slab, whole[t:t + m].T):
+                return False
     return True
+
+
+def _uniform(gen: np.random.Generator, shape) -> np.ndarray:
+    """Uniform on [-1, 1), scaled in place: no temporary of its size."""
+    a = gen.random(shape)
+    a *= 2.0
+    a -= 1.0
+    return a
 
 
 def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
@@ -580,14 +599,16 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
 
     Activations stay channel-major, in the input's (C, H, W) feature
     order: one row of B samples per feature, plus a zero row that padding
-    taps point at. ``np.take`` copies whole rows into the transposed
-    im2col matrix cols [C*kh*kw, positions*B]. The conv is ``W @ cols``,
-    or ``net_forward``'s call on a C-ordered copy where
-    ``_gemm_forms_agree`` finds that BLAS sums the two forms differently.
-    The positions are ordered by pool tap, so each channel's row is four
-    contiguous slabs, reduced max(acc, next) in reverse tap order, as
-    ``_pool_max`` folds them, into the next stage's rows. The bias is
-    added after the pool: rounding is monotone, so
+    taps point at. The im2col gather is ordered by pool tap outermost, so
+    the transposed im2col matrix is four slabs [C*kh*kw, positions/4*B],
+    one per tap, each in pooled position order. ``np.take`` copies whole
+    rows into one slab at a time, and the conv is ``W @ slab``; the slabs'
+    products are folded max(acc, next) as they arrive, in reverse tap
+    order, as ``_pool_max`` folds them, the last straight into the next
+    stage's rows. Where ``_slab_forms_agree`` finds that BLAS sums a slab
+    differently from ``net_forward``'s call, the whole matrix is gathered
+    instead, that call made on a C-ordered copy and the taps folded by one
+    reduce. The bias is added after the pool: rounding is monotone, so
     max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max keeps its sign
     (fl(z + b) is -0.0 only for z = b = -0.0). Then relu; the head gets
     the last rows as C-ordered [B, C*H*W].
@@ -602,29 +623,44 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
         cout, kh, kw = _conv_shape(c, weight)
         idx, h, w = _im2col_index(c, h, w, kh, kw, s.stride, s.padding,
                                   infer=True)
-        # probed before the gather: the probe's draws and cols are never
-        # live at once, which keeps a block's peak memory down
-        agree = _gemm_forms_agree(c * kh * kw, cout, h * w * b)
-        cols = np.take(rows, idx, axis=0).reshape(c * kh * kw, -1)
-        wm = weight.reshape(cout, -1)
-        act = wm @ cols if agree else (np.ascontiguousarray(cols.T) @ wm.T).T
+        k, wm = c * kh * kw, weight.reshape(cout, -1)
         c, h, w = cout, h // 2, w // 2
-        rows = np.empty((c * h * w + 1, b))
-        feats = rows[:-1].reshape(c, -1)
-        np.maximum.reduce(act.reshape(c, 4, -1)[:, ::-1], axis=1, out=feats)
+        out = np.empty((c * h * w + 1, b))
+        feats = out[:-1].reshape(c, -1)
+        # probed before the gather: the probe's draws and the slabs are
+        # never live at once, which keeps a block's peak memory down
+        if _slab_forms_agree(k, cout, h * w * b):
+            taps = idx.reshape(4, -1)
+            acc = wm @ np.take(rows, taps[3], axis=0).reshape(k, -1)
+            for t, dest in ((2, acc), (1, acc), (0, feats)):
+                slab = np.take(rows, taps[t], axis=0).reshape(k, -1)
+                np.maximum(acc, wm @ slab, out=dest)
+        else:
+            cols = np.take(rows, idx, axis=0).reshape(4, k, -1)
+            cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(-1, k)
+            act = (cols @ wm.T).T.reshape(c, 4, -1)
+            np.maximum.reduce(act[:, ::-1], axis=1, out=feats)
+        rows = out
         np.add(feats, bias[:, np.newaxis], out=feats)
         np.maximum(feats, 0.0, out=feats)
     head_rows = np.ascontiguousarray(rows[:-1].T)
     return linear_forward(head_rows, params["head.weight"], params["head.bias"])[0]
 
 
-# Inference runs on blocks of samples whose largest im2col matrix fits in
-# this many bytes. A sweep of ``predict`` on 128 and 512 samples at 8x8 and
-# 16x16 (one SkylakeX core, one OpenBLAS thread, 60 interleaved repeats)
-# is flat within noise from 448 KiB to 768 KiB. Smaller blocks pay numpy's
-# per-call and per-row costs more often: at 256 KiB a sample takes 15-20 %
-# longer. Larger ones lose the gathered matrix and BLAS's packed copy of it
-# from cache: 1 MiB takes up to 27 % longer at 8x8, 2 MiB 22-58 % longer.
+# Inference runs on blocks of samples whose largest im2col slab
+# (``NetSpec.im2col_bytes``) fits in this many bytes: 151 samples at 8x8,
+# 37 at 16x16. A sweep of ``predict`` from 256 KiB to 2 MiB (one SkylakeX
+# core, one OpenBLAS thread, 40 interleaved repeats; n = 512, 128, 72 and
+# the odd splits 97, 153, 301 at 8x8, and 512, 128, 72, 41 at 16x16):
+# - at 8x8, 448 and 512 KiB are fastest on 512 and 128 samples, in blocks
+#   of 128. From 640 KiB up, 512 samples split into odd blocks of 171 and
+#   170, and 153 samples stay one odd block; an odd block's stage 1 takes
+#   the whole-matrix fallback, and they take 22-32 % longer. 1 MiB keeps
+#   301 samples in one block, 41 % longer. 384 KiB and below split 512
+#   samples into five or more blocks, 13-35 % longer;
+# - at 16x16, 640 and 768 KiB are 3-9 % faster than 512 KiB, and 448 KiB
+#   splits 72 samples into three blocks, 15 % slower; 1 MiB and up lose
+#   the cache, 23-41 % slower on 512 samples.
 EVAL_BLOCK_BYTES = 512 << 10
 
 

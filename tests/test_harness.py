@@ -402,12 +402,13 @@ def test_evaluate_rejects_an_empty_test_set():
 
 def test_evaluate_working_set_stays_cache_sized():
     # one unblocked call on 512 samples peaks near 15 MiB, mostly its
-    # 7 MiB stage-0 im2col matrix; blocks of 36 or 37 peak near 1 MiB
+    # 7 MiB stage-0 im2col matrix; blocks of 128, gathered one pool tap's
+    # slab at a time, peak near 1.3 MiB
     spec = default_net_spec(channels=3, image_size=8, classes=6)
     params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
     x = np.random.default_rng(0).standard_normal((512, 3, 8, 8))
     y = np.zeros(512, dtype=int)
-    # build the cached gather indices and matmul probe verdicts
+    # build the cached gather indices and slab probe verdicts
     evaluate(params, spec, x, y)
     tracemalloc.start()
     try:
@@ -713,6 +714,37 @@ def test_cli_run_names_an_undrawable_partition(fields, reason, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: {reason}\n"
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_cli_sweep_checks_every_partition_before_any_run(tmp_path, capsys):
+    # the drawable config sorts first, so a sweep that checked each
+    # partition only when its run began would leave its run directory
+    tiny_cfg(run_name="good").to_json(tmp_path / "a.json")
+    bad = tmp_path / "b.json"
+    tiny_cfg(run_name="bad", kind="size_skew", size_ratio=1000.0,
+             clients=8).to_json(bad)
+    assert main(["sweep", str(tmp_path / "*.json"), "--workers", "1",
+                 "--run-root", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{bad}: smallest client would be empty; "
+                            "lower ratio or add data\n")
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_cli_compare_checks_every_seeds_partition_before_any_run(tmp_path,
+                                                                 capsys):
+    # seed 0's labels split into 4 clients, seed 1's cannot
+    path = tmp_path / "cfg.json"
+    tiny_cfg(kind="dirichlet", concentration=0.05, clients=4,
+             train_per_client=2, test_per_client=1).to_json(path)
+    assert main(["compare", str(path), "--seeds", "2", "--workers", "1",
+                 "--run-root", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{path}: could not draw a partition with all "
+                            "clients nonempty\n")
     assert not os.path.exists(tmp_path / "runs")
 
 

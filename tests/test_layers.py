@@ -382,24 +382,30 @@ def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
 
 
 # stage 1 of both 4x4 nets (K = 72 and K = 144) meets OpenBLAS's
-# small-matrix kernel at many block sizes, not only small ones: there the
-# two conv matmul forms differ and infer_logits falls back to
-# net_forward's call (layers._gemm_forms_agree)
+# small-matrix kernel at many block sizes, not only small ones: there a
+# slab's matmul differs from the whole matrix's and infer_logits falls
+# back to net_forward's call (layers._slab_forms_agree)
 K144_SPEC = NetSpec(stages=(StageSpec(3, 16), StageSpec(16, 16)), image_size=4,
                     classes=6)
 SMALL_GEMM_SWEEPS = [(default_net_spec(image_size=4), 130), (K144_SPEC, 130)]
 
 
+def past_the_cap(spec):
+    """The smallest set ``inference_blocks`` splits in two: a sweep to it
+    covers the largest block and the first two-block split."""
+    return max(1, EVAL_BLOCK_BYTES // spec.im2col_bytes) + 1
+
+
 @pytest.mark.parametrize("spec,batches", [
-    (default_net_spec(image_size=8), 160),
-    (default_net_spec(image_size=16), 40),
+    *((spec, past_the_cap(spec)) for spec in (default_net_spec(image_size=8),
+                                              default_net_spec(image_size=16))),
     (K36_SPEC, 160),
     *SMALL_GEMM_SWEEPS,
 ], ids=["8x8", "16x16", "k36", "4x4", "k144"])
 def test_infer_logits_bit_identical_at_every_batch_size(spec, batches,
                                                         monkeypatch):
-    # every B from 1 to past the cap: BLAS may run the two conv matmul
-    # forms on different kernels at some sizes
+    # every B from 1 to batches: BLAS may run a slab's matmul and the
+    # whole matrix's on different kernels at some sizes
     params, x = signed_zero_net(spec, batches, np.random.default_rng(batches))
     for b in range(1, batches + 1):
         got = head_inputs(monkeypatch, lambda: infer_logits(spec, params, x[:b]))
@@ -408,10 +414,13 @@ def test_infer_logits_bit_identical_at_every_batch_size(spec, batches,
         assert_bits_equal(got[1], want[1])
 
 
-def forms_agree_on(gen, k, cout, m):
-    """Whether the two conv matmul forms agree on one draw of gen."""
-    cols, w = gen.uniform(-1.0, 1.0, (k, m)), gen.uniform(-1.0, 1.0, (cout, k))
-    return np.array_equal(w @ cols, (np.ascontiguousarray(cols.T) @ w.T).T)
+def slab_forms_agree_on(gen, k, cout, m):
+    """Whether each of the four slabs' ``w @ slab`` equals its m rows of
+    the whole-matrix call on one draw of gen."""
+    cols, w = gen.uniform(-1.0, 1.0, (4 * m, k)), gen.uniform(-1.0, 1.0, (cout, k))
+    whole = cols @ w.T
+    return all(np.array_equal(w @ np.ascontiguousarray(cols[t:t + m].T),
+                              whole[t:t + m].T) for t in range(0, 4 * m, m))
 
 
 @pytest.mark.parametrize("spec,batches", SMALL_GEMM_SWEEPS, ids=["4x4", "k144"])
@@ -422,21 +431,22 @@ def test_gemm_probe_verdicts_hold_on_another_draw(spec, batches):
     gen = np.random.default_rng(2)
     for b in range(1, batches + 1):
         for s, size in zip(spec.stages, spec.conv_sizes):
-            k, m = s.in_ch * s.ksize ** 2, size * size * b
-            agree = forms_agree_on(gen, k, s.out_ch, m)
-            assert layers._gemm_forms_agree(k, s.out_ch, m) == agree, (k, m)
+            k, m = s.in_ch * s.ksize ** 2, (size // 2) ** 2 * b
+            agree = slab_forms_agree_on(gen, k, s.out_ch, m)
+            assert layers._slab_forms_agree(k, s.out_ch, m) == agree, (k, m)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_gemm_probe_sees_differences_few_outputs_hide(k):
     # at Cout = 1 and a few columns, every output of a draw can coincide
-    # although the forms differ, so two draws are not enough (K = 3,
-    # M = 2 fails with them); the verdict must match 200 draws of another
-    # generator
+    # although the forms differ (at K = 3 and one column per slab, 34 % of
+    # draws do), so two draws are not enough; slabs of 9, 12, 13 and 20
+    # columns leave a tail of columns mod 8, where BLAS's kernel choice
+    # changes; the verdict must match 200 draws of another generator
     gen = np.random.default_rng(3)
-    for m in (1, 2, 3, 5):
-        agree = all(forms_agree_on(gen, k, 1, m) for _ in range(200))
-        assert layers._gemm_forms_agree(k, 1, m) == agree, m
+    for m in (1, 2, 3, 5, 9, 12, 13, 20):
+        agree = all(slab_forms_agree_on(gen, k, 1, m) for _ in range(200))
+        assert layers._slab_forms_agree(k, 1, m) == agree, m
 
 
 def test_infer_logits_bias_after_pool_keeps_ties_and_zero_signs(monkeypatch):
@@ -725,11 +735,12 @@ def test_predict_matches_autodiff_forward_exactly(batch):
     assert np.array_equal(predict(spec, arrays, x), logits.data.argmax(axis=1))
 
 
-@pytest.mark.parametrize("image_size,cap", [(8, 37), (16, 9)])
+@pytest.mark.parametrize("image_size,cap", [(8, 151), (16, 37)])
 def test_inference_blocks_are_balanced_and_fit_the_budget(image_size, cap):
-    # the largest im2col matrix is stage 0's: image_size**2 rows of 3*3*3
+    # the largest im2col slab is stage 0's: one pool tap's quarter of
+    # image_size**2 rows of 3*3*3
     spec = default_net_spec(channels=3, image_size=image_size, classes=6)
-    assert spec.im2col_bytes == image_size ** 2 * 27 * 8
+    assert spec.im2col_bytes == (image_size // 2) ** 2 * 27 * 8
     assert EVAL_BLOCK_BYTES // spec.im2col_bytes == cap
     for n in range(1, 4 * cap + 2):
         blocks = inference_blocks(spec, n)
@@ -762,8 +773,8 @@ def test_a_set_within_the_cap_is_one_call(monkeypatch):
         return infer_logits(spec, params, xb)
 
     monkeypatch.setattr(layers, "infer_logits", counted)
-    for n, want in [(1, [1]), (37, [37]), (38, [19, 19]), (128, [32] * 4),
-                    (512, [37] * 8 + [36] * 6)]:
+    for n, want in [(1, [1]), (128, [128]), (151, [151]), (152, [76, 76]),
+                    (512, [128] * 4)]:
         calls.clear()
         predict(spec, params, x[:n])
         assert calls == want
