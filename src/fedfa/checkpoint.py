@@ -27,11 +27,6 @@ MAGIC = b"FFA1"
 VERSION = 1
 
 
-def _header(name: bytes, rank: int) -> struct.Struct:
-    """A tensor's name length, name, rank and dims, as encode packs them."""
-    return struct.Struct(f"<I{len(name)}sI{rank}Q")
-
-
 def encode(tensors: dict[str, np.ndarray]) -> bytes:
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -41,18 +36,10 @@ def encode(tensors: dict[str, np.ndarray]) -> bytes:
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim:
             a = np.ascontiguousarray(a)  # ascontiguousarray promotes rank 0 to rank 1
-        buf.write(_header(nb, a.ndim).pack(len(nb), nb, a.ndim, *a.shape))
+        buf.write(struct.pack(f"<I{len(nb)}sI{a.ndim}Q",
+                              len(nb), nb, a.ndim, *a.shape))
         buf.write(a.astype("<f8").tobytes())
     return buf.getvalue()
-
-
-def encoded_size(tensors: dict[str, np.ndarray]) -> int:
-    """``len(encode(tensors))``, without building the bytes."""
-    size = len(MAGIC) + 4
-    for name, arr in tensors.items():
-        a = np.asarray(arr)
-        size += _header(name.encode("utf-8"), a.ndim).size + 8 * a.size
-    return size
 
 
 def decode(blob: bytes) -> dict[str, np.ndarray]:

@@ -28,7 +28,7 @@ import numpy as np
 from . import checkpoint
 from .augment import modulate
 from .config import ExperimentConfig
-from .stats import MomentumStats
+from .stats import MomentumStats, batch_variances
 from .rng import stream
 
 log = logging.getLogger("fedfa")
@@ -95,11 +95,11 @@ class LocalResult:
 def sharing_variances(stats_by_client: list[MomentumStats]) -> np.ndarray:
     """Biased per-channel variance of the momentum pairs across clients, [2,C].
 
-    The pairs are stacked [2,K,C], statistic-major, so each statistic's
-    clients sum in the order of an unstacked [K,C] array."""
+    The pairs stack [2,K,C], statistic-major as a batch's statistics do, so
+    batch_variances takes the variance across the K clients."""
     if not stats_by_client:
         raise ValueError("no client statistics to aggregate")
-    return np.stack([s.pair for s in stats_by_client], axis=1).var(axis=1)
+    return batch_variances(np.stack([s.pair for s in stats_by_client], axis=1))
 
 
 def aggregate(models: list[tuple[dict[str, np.ndarray], float]]) -> dict[str, np.ndarray]:
@@ -185,7 +185,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     picked = [clients[i] for i in
               select_clients(len(clients), cfg.participation, cfg.seed, round_index)]
 
-    param_bytes = checkpoint.encoded_size(server.params)
+    param_bytes = len(checkpoint.encode(server.params))
     # statistics travel as float64; each direction carries half the exchange
     stat_bytes = comm_cost(server.stat_channels, 8) // 2
     uplink = param_bytes + stat_bytes

@@ -3,10 +3,11 @@
 A Tensor wraps a float64 ndarray plus an optional gradient buffer. Ops build
 an implicit DAG through parent links and per-node backward closures;
 ``Tensor.backward()`` runs the topological sweep. Only the handful of ops the
-network needs are implemented (elementwise arithmetic with broadcasting,
-matmul, reductions, reshape, relu, sqrt). Convolution, pooling, the linear
-head and the loss live in ``layers`` as kernel pairs, which
-``kernel_node`` wraps into one node each.
+network needs are implemented: elementwise arithmetic with broadcasting (a
+scalar operand goes on the right: ``t * 2``, not ``2 * t``), matmul,
+reductions, reshape, relu and sqrt. Convolution, pooling, the linear head
+and the loss live in ``layers`` as kernel pairs, which ``kernel_node``
+wraps into one node each.
 
 Training does not use the graph: it chains the kernel pairs directly
 (``layers.net_backward``). The graph serves ``theory``, the gradient
@@ -44,10 +45,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -136,23 +133,6 @@ class Tensor:
 
         out._backward = back
         return out
-
-    def __neg__(self):
-        out = Tensor(-self.data, (self,))
-        out._backward = lambda g: self._accumulate(-g)
-        return out
-
-    def __radd__(self, other):
-        return self._lift(other) + self
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __rmul__(self, other):
-        return self._lift(other) * self
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __pow__(self, exponent: float):
         out = Tensor(self.data**exponent, (self,))

@@ -57,19 +57,11 @@ def test_unicode_names():
     assert np.array_equal(back["weights/émb"], [1.0])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.dictionaries(
-    st.text(max_size=6),  # non-ASCII names take several UTF-8 bytes
-    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
-                                            min_side=0, max_side=3)),
-    max_size=4))
-def test_encoded_size_is_the_encoded_length(tensors):
-    assert checkpoint.encoded_size(tensors) == len(checkpoint.encode(tensors))
-
-
-def test_encoded_size_counts_rank_zero_and_multibyte_names():
+def test_encoded_length_counts_rank_zero_and_multibyte_names():
+    # 8 of magic and version; per tensor, 4 + name bytes + 4 + 8 per dim
+    # + 8 per value: 's' 17, 'wé/µ' (6 bytes) 30 and 'w' 73
     t = {"s": np.array(3.5), "wé/µ": np.zeros((2, 0)), "w": np.ones((2, 3)).T}
-    assert checkpoint.encoded_size(t) == len(checkpoint.encode(t)) == 128
+    assert len(checkpoint.encode(t)) == 128
 
 
 def test_bad_magic_rejected():

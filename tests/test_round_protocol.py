@@ -93,11 +93,11 @@ def _check_round(cfg, faults, r, rnd, coeffs_exist):
     stat_bytes = 2 * 8 * sum(SPEC.stage_channels) if full else 0
     assert rnd["stat_channels"] == (SPEC.stage_channels if full else ())
 
-    up = checkpoint.encoded_size(rnd["params"]) + stat_bytes
+    up = len(checkpoint.encode(rnd["params"])) + stat_bytes
     assert report.uplink_bytes_per_client == up
     assert report.uplink_bytes == len(survivors) * up
     assert (rnd["coeffs"] is not None) == (full and coeffs_exist)
-    down = checkpoint.encoded_size(rnd["params"]) + (stat_bytes if coeffs_exist else 0)
+    down = len(checkpoint.encode(rnd["params"])) + (stat_bytes if coeffs_exist else 0)
     assert report.downlink_bytes_per_client == down
     assert report.downlink_bytes == len(report.selected) * down
 
