@@ -63,7 +63,13 @@ def decode(blob: bytes) -> dict[str, np.ndarray]:
     while off < len(blob):
         (name_len,) = struct.unpack_from("<I", blob, span(4, "name length"))
         start = span(name_len, "name")
-        name = blob[start:off].decode("utf-8")
+        try:
+            name = blob[start:off].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"tensor name at offset {start} is not UTF-8: "
+                             f"{e.reason} at its byte {e.start}") from None
+        if name in tensors:
+            raise ValueError(f"repeated tensor {name!r} at offset {start}")
         (rank,) = struct.unpack_from("<I", blob, span(4, f"rank of {name!r}"))
         dims = struct.unpack_from(f"<{rank}Q", blob, span(8 * rank, f"dims of {name!r}"))
         count = math.prod(dims)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 
 
@@ -123,6 +124,12 @@ class ExperimentConfig:
             raise ValueError("server_momentum must lie in [0, 1)")
         if self.mixup_beta <= 0:
             raise ValueError("mixup_beta must be positive")
+        if self.run_name is not None and (
+                self.run_name in ("", ".", "..")
+                or any(sep and sep in self.run_name
+                       for sep in (os.sep, os.altsep))):
+            raise ValueError("run_name must name one directory inside the run "
+                             f"root, got {self.run_name!r}")
         self.dataset.validate()
         if self.dataset.kind == "feature_shift" and self.clients < 2:
             raise ValueError("clients must be at least 2 for a feature_shift "

@@ -57,6 +57,61 @@ def test_unicode_names():
     assert np.array_equal(back["weights/émb"], [1.0])
 
 
+TENSOR_DICTS = st.dictionaries(
+    st.text(max_size=6),  # non-ASCII names take several UTF-8 bytes
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                            min_side=0, max_side=3)),
+    max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(TENSOR_DICTS)
+def test_round_trip_is_bit_exact(tensors):
+    # NaN payloads and signed zeros included
+    back = checkpoint.decode(checkpoint.encode(tensors))
+    assert list(back) == list(tensors)
+    for name, a in tensors.items():
+        assert back[name].dtype == np.float64
+        assert back[name].shape == a.shape
+        assert back[name].tobytes() == a.tobytes()
+
+
+def _decodes_or_raises_value_error(blob: bytes) -> None:
+    try:
+        checkpoint.decode(blob)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(TENSOR_DICTS, st.integers(1, 255))
+def test_damaged_blob_decodes_or_raises_value_error(tensors, flip):
+    # every truncation, and every byte XORed with flip; any other
+    # exception type fails the test
+    blob = checkpoint.encode(tensors)
+    for cut in range(len(blob)):
+        _decodes_or_raises_value_error(blob[:cut])
+    for i in range(len(blob)):
+        _decodes_or_raises_value_error(
+            blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:])
+
+
+def test_repeated_tensor_names_its_offset():
+    one = checkpoint.encode({"w": np.array([1.0])})
+    twice = one + one[8:]  # a second record of 'w', whose name follows its length
+    with pytest.raises(ValueError,
+                       match=rf"^repeated tensor 'w' at offset {len(one) + 4}$"):
+        checkpoint.decode(twice)
+
+
+def test_non_utf8_name_names_its_offset():
+    blob = bytearray(checkpoint.encode({"wé": np.array([1.0])}))
+    blob[13] = 0xFF  # the first byte of 'é', whose name starts at offset 12
+    with pytest.raises(ValueError, match=r"^tensor name at offset 12 is not "
+                                         r"UTF-8: invalid start byte at its byte 1$"):
+        checkpoint.decode(bytes(blob))
+
+
 def test_encoded_length_counts_rank_zero_and_multibyte_names():
     # 8 of magic and version; per tensor, 4 + name bytes + 4 + 8 per dim
     # + 8 per value: 's' 17, 'wé/µ' (6 bytes) 30 and 'w' 73

@@ -87,15 +87,18 @@ def test_config_validation():
     ("image_size", 0), ("image_size", -4), ("noise", -1.0),
     ("shift_strength", -0.5), ("concentration", 0.0), ("concentration", -1.0),
     ("size_ratio", 0.5), ("test_fraction", -0.1), ("test_fraction", 1.0),
-    ("clients", 1), ("alpha", -0.1), ("alpha", 1.5), ("seed", -1)])
+    ("clients", 1), ("alpha", -0.1), ("alpha", 1.5), ("seed", -1),
+    # a run directory is one name inside the run root
+    ("run_name", ""), ("run_name", "."), ("run_name", ".."),
+    ("run_name", "a/b"), ("run_name", "../up")])
 def test_config_rejects_bad_knob(tmp_path, field, value):
-    # rejected whatever the algorithm, and before the run directory exists
+    # rejected whatever the algorithm, and before anything is written
     cfg = tiny_cfg(algorithm="fedavg", **{field: value})
     with pytest.raises(ValueError, match=field):
         cfg.validate()
     with pytest.raises(ValueError, match=field):
-        run_experiment(cfg, run_root=tmp_path)
-    assert not (tmp_path / cfg.name).exists()
+        run_experiment(cfg, run_root=tmp_path / "runs")
+    assert not any(tmp_path.iterdir())
 
 
 def test_shipped_and_tiny_configs_validate():
@@ -675,6 +678,8 @@ BAD_CONFIGS = {  # id: (file text, or None for no file; the reason printed)
                               "dataset.classes: expected an integer, got 2.5"),
     "invalid-value": ('{"rounds": -1}', "rounds must be nonnegative"),
     "negative-seed": ('{"seed": -1}', "seed must be nonnegative"),
+    "escaping-run-name": ('{"run_name": "../escaped"}', "run_name must name one "
+                          "directory inside the run root, got '../escaped'"),
     "not-json": ('{"rounds": }', "Expecting value: line 1 column 12 (char 11)"),
 }
 
@@ -693,7 +698,8 @@ def test_cli_names_the_config_and_its_fault(command, case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{path}: {reason}\n"
-    assert not os.path.exists(tmp_path / "runs")  # rejected before any run
+    # rejected before any run, and nothing written next to the run root
+    assert os.listdir(tmp_path) == ([] if text is None else ["cfg.json"])
 
 
 @pytest.mark.parametrize("fields, reason", [
