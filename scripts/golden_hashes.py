@@ -70,16 +70,17 @@ def fingerprint() -> str:
             f"  core {core}  threads {threads}")
 
 
-def slab_verdicts(blocks=(128, 151)) -> str:
+def slab_verdicts(blocks=(59, 107, 128, 151)) -> str:
     """Per stage of the default 8x8 net, whether ``layers.infer_logits``
     multiplies one pool tap's slab at a time (True) or falls back to the
-    whole matrix (False), on this core, at the benchmark's block sizes."""
+    whole matrix (False), on this core, at the benchmark's block sizes;
+    an odd block runs with one pad sample."""
     spec = default_net_spec()
     # per stage: K, Cout and the pooled positions of one sample
     shapes = [(s.in_ch * s.ksize ** 2, s.out_ch, (n // 2) ** 2)
               for s, n in zip(spec.stages, spec.conv_sizes)]
     return "# slab path, default net 8x8:" + "".join(
-        f"  b={b} {[_slab_forms_agree(k, cout, p * b) for k, cout, p in shapes]}"
+        f"  b={b} {[_slab_forms_agree(k, cout, p, b, b + b % 2) for k, cout, p in shapes]}"
         for b in blocks)
 
 

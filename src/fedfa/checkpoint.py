@@ -71,11 +71,17 @@ def decode(blob: bytes) -> dict[str, np.ndarray]:
         if name in tensors:
             raise ValueError(f"repeated tensor {name!r} at offset {start}")
         (rank,) = struct.unpack_from("<I", blob, span(4, f"rank of {name!r}"))
-        dims = struct.unpack_from(f"<{rank}Q", blob, span(8 * rank, f"dims of {name!r}"))
+        at = span(8 * rank, f"dims of {name!r}")
+        dims = struct.unpack_from(f"<{rank}Q", blob, at)
         count = math.prod(dims)
         arr = np.frombuffer(blob, dtype="<f8", count=count,
                             offset=span(8 * count, f"payload of {name!r}"))
-        tensors[name] = arr.reshape(dims).astype(np.float64)
+        try:  # an empty tensor's other dims are not bounded by the blob
+            arr = arr.reshape(dims)
+        except ValueError as e:
+            raise ValueError(f"dims of {name!r} at offset {at} give shape "
+                             f"{dims}, which numpy cannot build: {e}") from None
+        tensors[name] = arr.astype(np.float64)
     return tensors
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -46,6 +47,7 @@ class DatasetConfig:
     test_fraction: float = 0.25  # partition-based kinds
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.kind not in DATASET_KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.classes < 2:
@@ -93,6 +95,7 @@ class ExperimentConfig:
     run_name: str | None = None
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose one of {ALGORITHMS}")
@@ -179,6 +182,15 @@ _JSON_TYPES = {
     "str | None": ((str, type(None)), "a string or null"),
     "DatasetConfig": ((dict,), "an object"),
 }
+
+
+def _check_finite(cfg) -> None:
+    """Reject a float field holding NaN or an infinity, which JSON's NaN and
+    Infinity parse to and most range checks let through."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float" and not -math.inf < value < math.inf:
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _check_keys(d, cls, where: str) -> None:

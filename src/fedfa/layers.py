@@ -31,9 +31,10 @@ copies can be dropped).
 Evaluation (``predict``, which ``experiment.evaluate`` calls) has a loop
 of its own, ``infer_logits``, on blocks of up to 151 samples at 8x8
 (``inference_blocks``). It gathers and multiplies one pool tap's quarter
-of each im2col matrix at a time, keeps nothing for a backward pass and
-gives the logits of ``net_forward`` bit for bit, so predictions equal
-the argmax of the training forward.
+of each im2col matrix at a time, runs an odd block with one zero pad
+sample so that no block's stage 1 falls back to the whole matrix, keeps
+nothing for a backward pass and gives the logits of ``net_forward`` bit
+for bit, so predictions equal the argmax of the training forward.
 
 The training kernels work in the memory order the conv matmul writes,
 NHWC, with im2col rows in (B, H, W) order, because the weight and bias
@@ -559,15 +560,21 @@ def net_backward(tape: list, g: np.ndarray) -> dict[str, np.ndarray]:
 
 
 @functools.cache
-def _slab_forms_agree(k: int, cout: int, m: int) -> bool:
-    """Whether ``w @ slab`` (w [Cout, K], slab [K, m], both C-ordered)
-    equals the matching m rows of ``net_forward``'s ``cols @ w.T`` on the
-    whole C-ordered cols [4m, K], for each of its four slabs, bit for bit
-    on random draws from a private generator. The reference is the whole
-    matrix, not a slab's m rows, because OpenBLAS's small-matrix kernel
-    depends on the row count. Premise: two call forms that agree on random
-    data agree on all data, since BLAS picks its kernel by shape and
-    layout alone; so a verdict holds only on the core that probed it."""
+def _slab_forms_agree(k: int, cout: int, positions: int, b: int,
+                      bp: int) -> bool:
+    """Whether ``w @ slab`` (w [Cout, K], slab [K, positions*bp], both
+    C-ordered, bp >= b samples at each position) equals, at the first b
+    samples of each position, the matching rows of ``net_forward``'s
+    ``cols @ w.T`` on the whole C-ordered cols [4*positions*b, K] of the b
+    real samples, for each of its four slabs, bit for bit on random draws
+    from a private generator. The reference is the whole matrix, not a
+    slab's rows, because OpenBLAS's small-matrix kernel depends on the row
+    count. The bp - b pad samples are zero; their values cannot reach a
+    real output, since each column of ``w @ slab`` reads only its own slab
+    column. Premise: two call forms that agree on random data agree on all
+    data, since BLAS picks its kernel by shape and layout alone; so a
+    verdict holds only on the core that probed it."""
+    m = positions * b
     # draws until 256 outputs are compared: where the forms differ, one
     # output coincides by chance up to ~80 % of the time (at Cout = 1,
     # K = 2..5), so one draw of (K=3, Cout=1, m=1) agrees 34 % of the time
@@ -577,9 +584,12 @@ def _slab_forms_agree(k: int, cout: int, m: int) -> bool:
         # again from the same stream, which fills rows in order
         whole = _uniform(np.random.default_rng((d, 0)), (4 * m, k)) @ w.T
         again = np.random.default_rng((d, 0))
+        slab = np.zeros((k, positions, bp))
         for t in range(0, 4 * m, m):
-            slab = np.ascontiguousarray(_uniform(again, (m, k)).T)
-            if not np.array_equal(w @ slab, whole[t:t + m].T):
+            slab[:, :, :b] = _uniform(again, (m, k)).T.reshape(k, positions, b)
+            got = (w @ slab.reshape(k, -1)).reshape(cout, positions, bp)
+            if not np.array_equal(got[:, :, :b],
+                                  whole[t:t + m].T.reshape(cout, positions, b)):
                 return False
     return True
 
@@ -598,25 +608,33 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     of its own that keeps nothing for a backward pass.
 
     Activations stay channel-major, in the input's (C, H, W) feature
-    order: one row of B samples per feature, plus a zero row that padding
-    taps point at. The im2col gather is ordered by pool tap outermost, so
-    the transposed im2col matrix is four slabs [C*kh*kw, positions/4*B],
-    one per tap, each in pooled position order. ``np.take`` copies whole
-    rows into one slab at a time, and the conv is ``W @ slab``; the slabs'
-    products are folded max(acc, next) as they arrive, in reverse tap
-    order, as ``_pool_max`` folds them, the last straight into the next
-    stage's rows. Where ``_slab_forms_agree`` finds that BLAS sums a slab
-    differently from ``net_forward``'s call, the whole matrix is gathered
-    instead, that call made on a C-ordered copy and the taps folded by one
-    reduce. The bias is added after the pool: rounding is monotone, so
-    max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max keeps its sign
-    (fl(z + b) is -0.0 only for z = b = -0.0). Then relu; the head gets
-    the last rows as C-ordered [B, C*H*W].
+    order: one row per feature, plus a zero row that padding taps point
+    at. A row holds the B samples and, for an odd B, one zero pad sample,
+    so every row is bp = B + B % 2 wide: at an odd width, stage 1's slabs
+    of the default net would have 4*B = 4 (mod 8) columns, where SkylakeX's
+    BLAS sums them differently from ``net_forward``'s call. Each column of
+    a matmul reads only its own slab column, so the pad cannot reach a
+    real output, and the head reads the first B columns. The im2col
+    gather is ordered by pool tap outermost, so the transposed im2col
+    matrix is four slabs [C*kh*kw, positions/4*bp], one per tap, each in
+    pooled position order. ``np.take`` copies whole rows into one slab at
+    a time, and the conv is ``W @ slab``; the slabs' products are folded
+    max(acc, next) as they arrive, in reverse tap order, as ``_pool_max``
+    folds them, the last straight into the next stage's rows. Where ``_slab_forms_agree`` finds
+    that BLAS sums a slab differently from ``net_forward``'s call, the
+    whole matrix of the B real samples is gathered instead, that call made
+    on a C-ordered copy and the taps folded by one reduce; the pad column
+    is then zeroed. The bias is added after the pool: rounding is
+    monotone, so max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max
+    keeps its sign (fl(z + b) is -0.0 only for z = b = -0.0). Then relu;
+    the head gets the last rows as C-ordered [B, C*H*W].
     """
     x = _as_batch(x)
     b, c, h, w = x.shape
-    rows = np.empty((c * h * w + 1, b))
-    rows[:-1] = x.reshape(b, -1).T
+    bp = b + b % 2
+    rows = np.empty((c * h * w + 1, bp))
+    rows[:-1, :b] = x.reshape(b, -1).T
+    rows[:-1, b:] = 0.0  # the pad sample
     for i, s in enumerate(spec.stages):
         rows[-1] = 0.0  # the padding's zero row
         weight, bias = params[f"conv{i}.weight"], params[f"conv{i}.bias"]
@@ -625,42 +643,48 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
                                   infer=True)
         k, wm = c * kh * kw, weight.reshape(cout, -1)
         c, h, w = cout, h // 2, w // 2
-        out = np.empty((c * h * w + 1, b))
+        out = np.empty((c * h * w + 1, bp))
         feats = out[:-1].reshape(c, -1)
         # probed before the gather: the probe's draws and the slabs are
         # never live at once, which keeps a block's peak memory down
-        if _slab_forms_agree(k, cout, h * w * b):
+        if _slab_forms_agree(k, cout, h * w, b, bp):
             taps = idx.reshape(4, -1)
             acc = wm @ np.take(rows, taps[3], axis=0).reshape(k, -1)
+            # each slab dies with its product, before the next is gathered,
+            # so one slab at a time counts toward a block's peak memory
             for t, dest in ((2, acc), (1, acc), (0, feats)):
-                slab = np.take(rows, taps[t], axis=0).reshape(k, -1)
-                np.maximum(acc, wm @ slab, out=dest)
+                np.maximum(acc, wm @ np.take(rows, taps[t], axis=0).reshape(k, -1),
+                           out=dest)
         else:
-            cols = np.take(rows, idx, axis=0).reshape(4, k, -1)
+            cols = np.take(rows[:, :b], idx, axis=0).reshape(4, k, -1)
             cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(-1, k)
-            act = (cols @ wm.T).T.reshape(c, 4, -1)
-            np.maximum.reduce(act[:, ::-1], axis=1, out=feats)
+            act = (cols @ wm.T).T.reshape(c, 4, -1, b)
+            per_sample = feats.reshape(c, -1, bp)
+            np.maximum.reduce(act[:, ::-1], axis=1, out=per_sample[..., :b])
+            per_sample[..., b:] = 0.0
         rows = out
         np.add(feats, bias[:, np.newaxis], out=feats)
         np.maximum(feats, 0.0, out=feats)
-    head_rows = np.ascontiguousarray(rows[:-1].T)
+    head_rows = np.ascontiguousarray(rows[:-1, :b].T)
     return linear_forward(head_rows, params["head.weight"], params["head.bias"])[0]
 
 
 # Inference runs on blocks of samples whose largest im2col slab
 # (``NetSpec.im2col_bytes``) fits in this many bytes: 151 samples at 8x8,
-# 37 at 16x16. A sweep of ``predict`` from 256 KiB to 2 MiB (one SkylakeX
-# core, one OpenBLAS thread, 40 interleaved repeats; n = 512, 128, 72 and
-# the odd splits 97, 153, 301 at 8x8, and 512, 128, 72, 41 at 16x16):
-# - at 8x8, 448 and 512 KiB are fastest on 512 and 128 samples, in blocks
-#   of 128. From 640 KiB up, 512 samples split into odd blocks of 171 and
-#   170, and 153 samples stay one odd block; an odd block's stage 1 takes
-#   the whole-matrix fallback, and they take 22-32 % longer. 1 MiB keeps
-#   301 samples in one block, 41 % longer. 384 KiB and below split 512
-#   samples into five or more blocks, 13-35 % longer;
-# - at 16x16, 640 and 768 KiB are 3-9 % faster than 512 KiB, and 448 KiB
-#   splits 72 samples into three blocks, 15 % slower; 1 MiB and up lose
-#   the cache, 23-41 % slower on 512 samples.
+# 37 at 16x16, and an odd block gathers one pad sample more. A sweep of
+# ``predict`` from 256 KiB to 2 MiB (one SkylakeX core, one OpenBLAS
+# thread, 24 interleaved repeats; n = 512, 128, 72 and the odd splits 97,
+# 153, 301 at 8x8, and 512, 128, 72, 41 at 16x16), times against 512 KiB:
+# - at 8x8, odd blocks cost no more a sample than even ones: 97 samples
+#   (one block) take 2.84 us a sample and 301 (151 + 150) 2.82, against
+#   3.14 on 128. 153 samples in one block (640 KiB and up) take 0.90-0.91x
+#   their 77 + 76. 512 samples take 0.90x at 384 KiB (blocks of 103 and
+#   102) and 0.97-1.04x at 640-768 KiB (171 and 170), but 384 KiB and
+#   below split 128 samples in two, 1.11-1.12x. 1 MiB and up keep 301
+#   samples in one block, 1.32-1.34x, and 2 MiB 512 samples, 1.37x;
+# - at 16x16, 640 and 768 KiB take 0.89-1.06x, 448 KiB and below split
+#   72 samples into three blocks, 1.11-1.21x, and 1 MiB and up lose the
+#   cache, 1.13-1.43x on 72 and 512 samples.
 EVAL_BLOCK_BYTES = 512 << 10
 
 

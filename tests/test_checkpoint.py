@@ -112,6 +112,18 @@ def test_non_utf8_name_names_its_offset():
         checkpoint.decode(bytes(blob))
 
 
+def test_unbuildable_shape_names_its_tensor_and_offset():
+    # an empty tensor's payload is empty whatever its other dims, so no
+    # truncation check bounds them: here the second dim (at offset 25 of
+    # the dims at 17) is past the largest numpy allows
+    blob = bytearray(checkpoint.encode({"w": np.zeros((0, 2))}))
+    blob[25:33] = struct.pack("<Q", 2 ** 63)
+    with pytest.raises(ValueError, match=r"^dims of 'w' at offset 17 give shape "
+                                         r"\(0, 9223372036854775808\), which numpy "
+                                         r"cannot build: "):
+        checkpoint.decode(bytes(blob))
+
+
 def test_encoded_length_counts_rank_zero_and_multibyte_names():
     # 8 of magic and version; per tensor, 4 + name bytes + 4 + 8 per dim
     # + 8 per value: 's' 17, 'wé/µ' (6 bytes) 30 and 'w' 73

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import glob
 import json
+import math
 import os
 import re
 import sys
@@ -90,7 +91,13 @@ def test_config_validation():
     ("clients", 1), ("alpha", -0.1), ("alpha", 1.5), ("seed", -1),
     # a run directory is one name inside the run root
     ("run_name", ""), ("run_name", "."), ("run_name", ".."),
-    ("run_name", "a/b"), ("run_name", "../up")])
+    ("run_name", "a/b"), ("run_name", "../up"),
+    # NaN and the infinities pass a one-sided range check
+    *((field, value) for field in ("lr", "random_std", "prox_mu", "mixup_beta",
+                                   "noise", "shift_strength", "concentration",
+                                   "size_ratio")
+      for value in (math.nan, math.inf)),
+    ("lr", -math.inf), ("p", math.nan), ("test_fraction", -math.inf)])
 def test_config_rejects_bad_knob(tmp_path, field, value):
     # rejected whatever the algorithm, and before anything is written
     cfg = tiny_cfg(algorithm="fedavg", **{field: value})
@@ -406,20 +413,24 @@ def test_evaluate_rejects_an_empty_test_set():
 def test_evaluate_working_set_stays_cache_sized():
     # one unblocked call on 512 samples peaks near 15 MiB, mostly its
     # 7 MiB stage-0 im2col matrix; blocks of 128, gathered one pool tap's
-    # slab at a time, peak near 1.3 MiB
+    # slab at a time, peak near 1.0 MiB. Odd sets run with a pad sample:
+    # 59 samples in one block, and 301 in blocks of 151 and 150, which
+    # peak near 1.2 MiB (3.5 MiB where an odd block's stage 1 gathered
+    # its whole im2col matrix)
     spec = default_net_spec(channels=3, image_size=8, classes=6)
     params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
-    x = np.random.default_rng(0).standard_normal((512, 3, 8, 8))
-    y = np.zeros(512, dtype=int)
-    # build the cached gather indices and slab probe verdicts
-    evaluate(params, spec, x, y)
-    tracemalloc.start()
-    try:
+    for n in (512, 59, 301):
+        x = np.random.default_rng(0).standard_normal((n, 3, 8, 8))
+        y = np.zeros(n, dtype=int)
+        # build the cached gather indices and slab probe verdicts
         evaluate(params, spec, x, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * layers.EVAL_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            evaluate(params, spec, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * layers.EVAL_BLOCK_BYTES, n
 
 
 # ------------------------------------------------------------------ theory
@@ -681,6 +692,10 @@ BAD_CONFIGS = {  # id: (file text, or None for no file; the reason printed)
     "escaping-run-name": ('{"run_name": "../escaped"}', "run_name must name one "
                           "directory inside the run root, got '../escaped'"),
     "not-json": ('{"rounds": }', "Expecting value: line 1 column 12 (char 11)"),
+    # JSON's NaN and Infinity parse to floats that no training survives
+    "nan-lr": ('{"lr": NaN}', "lr must be finite, got nan"),
+    "infinite-noise": ('{"dataset": {"noise": Infinity}}',
+                       "noise must be finite, got inf"),
 }
 
 

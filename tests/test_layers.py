@@ -414,39 +414,52 @@ def test_infer_logits_bit_identical_at_every_batch_size(spec, batches,
         assert_bits_equal(got[1], want[1])
 
 
-def slab_forms_agree_on(gen, k, cout, m):
-    """Whether each of the four slabs' ``w @ slab`` equals its m rows of
-    the whole-matrix call on one draw of gen."""
+def slab_forms_agree_on(gen, k, cout, positions, b, bp):
+    """Whether each of the four slabs' ``w @ slab`` equals its rows of the
+    whole-matrix call at the b real samples of each position, on one draw
+    of gen; the slab's bp - b pad samples at each position are drawn too,
+    since no real output may read them."""
+    m = positions * b
     cols, w = gen.uniform(-1.0, 1.0, (4 * m, k)), gen.uniform(-1.0, 1.0, (cout, k))
     whole = cols @ w.T
-    return all(np.array_equal(w @ np.ascontiguousarray(cols[t:t + m].T),
-                              whole[t:t + m].T) for t in range(0, 4 * m, m))
+    for t in range(0, 4 * m, m):
+        slab = gen.uniform(-1.0, 1.0, (k, positions, bp))
+        slab[:, :, :b] = cols[t:t + m].T.reshape(k, positions, b)
+        got = (w @ slab.reshape(k, -1)).reshape(cout, positions, bp)
+        if not np.array_equal(got[:, :, :b],
+                              whole[t:t + m].T.reshape(cout, positions, b)):
+            return False
+    return True
 
 
 @pytest.mark.parametrize("spec,batches", SMALL_GEMM_SWEEPS, ids=["4x4", "k144"])
 def test_gemm_probe_verdicts_hold_on_another_draw(spec, batches):
     # the probe's premise on this core: a shape's verdict does not depend
-    # on the data, so a third draw agrees with the probe's (on SkylakeX
-    # both sweeps meet both verdicts)
+    # on the data, the pad samples' included, so a third draw agrees with
+    # the probe's (on SkylakeX both sweeps meet both verdicts)
     gen = np.random.default_rng(2)
     for b in range(1, batches + 1):
         for s, size in zip(spec.stages, spec.conv_sizes):
-            k, m = s.in_ch * s.ksize ** 2, (size // 2) ** 2 * b
-            agree = slab_forms_agree_on(gen, k, s.out_ch, m)
-            assert layers._slab_forms_agree(k, s.out_ch, m) == agree, (k, m)
+            k, positions = s.in_ch * s.ksize ** 2, (size // 2) ** 2
+            shape = (k, s.out_ch, positions, b, b + b % 2)
+            agree = slab_forms_agree_on(gen, *shape)
+            assert layers._slab_forms_agree(*shape) == agree, shape
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_gemm_probe_sees_differences_few_outputs_hide(k):
     # at Cout = 1 and a few columns, every output of a draw can coincide
     # although the forms differ (at K = 3 and one column per slab, 34 % of
-    # draws do), so two draws are not enough; slabs of 9, 12, 13 and 20
+    # draws do), so two draws are not enough; slabs of 10, 12, 14 and 20
     # columns leave a tail of columns mod 8, where BLAS's kernel choice
-    # changes; the verdict must match 200 draws of another generator
+    # changes, and an odd b puts a pad column after each position's
+    # samples; the verdict must match 200 draws of another generator
     gen = np.random.default_rng(3)
-    for m in (1, 2, 3, 5, 9, 12, 13, 20):
-        agree = all(slab_forms_agree_on(gen, k, 1, m) for _ in range(200))
-        assert layers._slab_forms_agree(k, 1, m) == agree, m
+    for positions, b in ((1, 1), (1, 2), (1, 3), (1, 5), (1, 9), (1, 12),
+                         (1, 13), (1, 20), (3, 3), (4, 5), (2, 7)):
+        shape = (k, 1, positions, b, b + b % 2)
+        agree = all(slab_forms_agree_on(gen, *shape) for _ in range(200))
+        assert layers._slab_forms_agree(*shape) == agree, shape
 
 
 def test_infer_logits_bias_after_pool_keeps_ties_and_zero_signs(monkeypatch):
