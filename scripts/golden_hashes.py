@@ -7,7 +7,8 @@ shipped config builds) in a temporary run root and prints one line per run with 
 metrics.jsonl and model.bin. The default set ends with one leave-one-out
 run of configs/fedfa.json (held-out client 1, participation 0.75), which
 trains the non-contiguous client ids 0, 2, 3; its line hashes
-leave_one_out.json. Two checkouts that print the same lines
+leave_one_out.json. The last line hashes what ``fedfa check theory``
+prints at seeds 0 and 3. Two checkouts that print the same lines
 produce byte-identical runs, which is the check a behaviour-preserving
 refactor must pass:
 
@@ -29,10 +30,12 @@ in the same commit.
 """
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import glob
 import hashlib
+import io
 import os
 import sys
 import tempfile
@@ -40,6 +43,7 @@ import tempfile
 import numpy as np
 
 from fedfa.allocator import pin_malloc_thresholds
+from fedfa.cli import main as fedfa_main
 from fedfa.config import ALGORITHMS, DATASET_KINDS, ExperimentConfig
 from fedfa.experiment import leave_one_out, run_experiment
 from fedfa.layers import _slab_forms_agree, default_net_spec
@@ -84,6 +88,15 @@ def slab_verdicts(blocks=(59, 107, 128, 151)) -> str:
         for b in blocks)
 
 
+def theory_hash(seeds=(0, 3)) -> str:
+    """sha256 of the lines ``fedfa check theory`` prints at each seed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for seed in seeds:
+            fedfa_main(["check", "theory", "--seed", str(seed)])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def hash_lines(configs):
     """Yield one line per run: its label and the sha256 of its outputs."""
     paths = configs or sorted(glob.glob(os.path.join(CONFIG_DIR, "*.json")))
@@ -111,6 +124,7 @@ def hash_lines(configs):
             leave_one_out(cfg, 1, run_root=root)
             path = os.path.join(root, f"{cfg.name}_loo1", "leave_one_out.json")
             yield f"fedfa[participation=0.75,held_out=1]  leave_one_out.json {sha256(path)}"
+            yield f"fedfa check theory --seed 0,3  stdout {theory_hash()}"
 
 
 def check(golden: str) -> int:
