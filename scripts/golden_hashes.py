@@ -76,8 +76,8 @@ def fingerprint() -> str:
 
 def slab_verdicts(blocks=(59, 107, 128, 151)) -> str:
     """Per stage of the default 8x8 net, whether ``layers.infer_logits``
-    multiplies one pool tap's slab at a time (True) or falls back to the
-    whole matrix (False), on this core, at the benchmark's block sizes;
+    multiplies one pool tap's slab at a time (True) or leaves the block to
+    ``net_forward`` (False), on this core, at the benchmark's block sizes;
     an odd block runs with one pad sample."""
     spec = default_net_spec()
     # per stage: K, Cout and the pooled positions of one sample

@@ -18,8 +18,8 @@ The renormalization is a kernel pair, ``ffa_forward`` and
 would build, as in instance norm: the same numpy operations in the same
 order, so its gradients are bit for bit those of the graph. ``augment``
 on an array, the training chain's hook, returns the output and the
-backward; on a Tensor, as ``theory``, the gradient checks and the tests
-use it, it returns one ``ffa_transform`` node.
+backward; on a Tensor, as the gradient checks and the tests use it, it
+returns one ``ffa_transform`` node.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 
@@ -185,11 +185,11 @@ _JSON_TYPES = {
 
 
 def _check_finite(cfg) -> None:
-    """Reject a float field holding NaN or an infinity, which JSON's NaN and
-    Infinity parse to and most range checks let through."""
+    """Reject a float field holding NaN, an infinity or an integer past the
+    largest float, which JSON's NaN, Infinity and long digits parse to."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
-        if f.type == "float" and not -math.inf < value < math.inf:
+        if f.type == "float" and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 

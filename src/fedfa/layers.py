@@ -15,14 +15,14 @@ gradients (``conv2d_*``, ``relu_maxpool2x2_*``, ``linear_*``,
 
 - ``net_forward`` and ``net_backward``, the array forward and the
   graph-free training chain. ``experiment.make_train_fn`` trains every
-  batch through them with a tape of backward contexts. No Tensor is
-  built.
+  batch through them with a tape of backward contexts, and ``theory``
+  checks on them. No Tensor is built.
 - The autodiff ops ``conv2d``, ``relu_maxpool2x2``, ``maxpool2x2``,
   ``linear`` and ``softmax_cross_entropy``, one Tensor node per pair, and
-  ``ConvNet.forward`` on top of them. The graph serves ``theory``, the
-  gradient checks and the tests' reference for the chain. The graph's
-  ``maxpool2x2`` runs the pool pair ``maxpool2x2_*`` on its own, for the
-  acceptance gate and the per-layer benchmark.
+  ``ConvNet.forward`` on top of them. No command or run builds the graph;
+  it is the tests' reference for the chain. Its ``maxpool2x2`` runs the
+  pool pair ``maxpool2x2_*`` on its own, for the acceptance gate and the
+  per-layer benchmark.
 
 Both callers run the same kernels, so the chain's loss and gradients are
 the graph's bit for bit (``net_backward`` says why the graph's gradient
@@ -32,9 +32,9 @@ Evaluation (``predict``, which ``experiment.evaluate`` calls) has a loop
 of its own, ``infer_logits``, on blocks of up to 151 samples at 8x8
 (``inference_blocks``). It gathers and multiplies one pool tap's quarter
 of each im2col matrix at a time, runs an odd block with one zero pad
-sample so that no block's stage 1 falls back to the whole matrix, keeps
-nothing for a backward pass and gives the logits of ``net_forward`` bit
-for bit, so predictions equal the argmax of the training forward.
+sample so that no benchmark block's stage 1 falls back to ``net_forward``,
+keeps nothing for a backward pass and gives the logits of ``net_forward``
+bit for bit, so predictions equal the argmax of the training forward.
 
 The training kernels work in the memory order the conv matmul writes,
 NHWC, with im2col rows in (B, H, W) order, because the weight and bias
@@ -444,7 +444,7 @@ class NetSpec:
     def im2col_bytes(self) -> int:
         """Bytes per sample of the net's largest float64 im2col slab: one
         pool tap's quarter of a stage's im2col matrix, the most
-        ``infer_logits`` gathers at once on its usual path."""
+        ``infer_logits`` gathers at once outside ``net_forward``."""
         return max((size // 2) ** 2 * s.in_ch * s.ksize * s.ksize * 8
                    for s, size in zip(self.stages, self.conv_sizes))
 
@@ -573,7 +573,8 @@ def _slab_forms_agree(k: int, cout: int, positions: int, b: int,
     real output, since each column of ``w @ slab`` reads only its own slab
     column. Premise: two call forms that agree on random data agree on all
     data, since BLAS picks its kernel by shape and layout alone; so a
-    verdict holds only on the core that probed it."""
+    verdict holds only on the core that probed it. False sends the block
+    to ``net_forward``."""
     m = positions * b
     # draws until 256 outputs are compared: where the forms differ, one
     # output coincides by chance up to ~80 % of the time (at Cout = 1,
@@ -620,14 +621,13 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
     pooled position order. ``np.take`` copies whole rows into one slab at
     a time, and the conv is ``W @ slab``; the slabs' products are folded
     max(acc, next) as they arrive, in reverse tap order, as ``_pool_max``
-    folds them, the last straight into the next stage's rows. Where ``_slab_forms_agree`` finds
-    that BLAS sums a slab differently from ``net_forward``'s call, the
-    whole matrix of the B real samples is gathered instead, that call made
-    on a C-ordered copy and the taps folded by one reduce; the pad column
-    is then zeroed. The bias is added after the pool: rounding is
-    monotone, so max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max
-    keeps its sign (fl(z + b) is -0.0 only for z = b = -0.0). Then relu;
-    the head gets the last rows as C-ordered [B, C*H*W].
+    folds them, the last straight into the next stage's rows. Where
+    ``_slab_forms_agree`` finds that BLAS sums a stage's slab differently
+    from ``net_forward``'s call, the block's logits are ``net_forward``'s
+    own. The bias is added after the pool: rounding is monotone, so
+    max_t fl(z_t + b) = fl(max_t z_t + b), and a zero max keeps its sign
+    (fl(z + b) is -0.0 only for z = b = -0.0). Then relu; the head gets
+    the last rows as C-ordered [B, C*H*W].
     """
     x = _as_batch(x)
     b, c, h, w = x.shape
@@ -643,25 +643,19 @@ def infer_logits(spec: NetSpec, params: dict[str, np.ndarray],
                                   infer=True)
         k, wm = c * kh * kw, weight.reshape(cout, -1)
         c, h, w = cout, h // 2, w // 2
-        out = np.empty((c * h * w + 1, bp))
-        feats = out[:-1].reshape(c, -1)
         # probed before the gather: the probe's draws and the slabs are
         # never live at once, which keeps a block's peak memory down
-        if _slab_forms_agree(k, cout, h * w, b, bp):
-            taps = idx.reshape(4, -1)
-            acc = wm @ np.take(rows, taps[3], axis=0).reshape(k, -1)
-            # each slab dies with its product, before the next is gathered,
-            # so one slab at a time counts toward a block's peak memory
-            for t, dest in ((2, acc), (1, acc), (0, feats)):
-                np.maximum(acc, wm @ np.take(rows, taps[t], axis=0).reshape(k, -1),
-                           out=dest)
-        else:
-            cols = np.take(rows[:, :b], idx, axis=0).reshape(4, k, -1)
-            cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(-1, k)
-            act = (cols @ wm.T).T.reshape(c, 4, -1, b)
-            per_sample = feats.reshape(c, -1, bp)
-            np.maximum.reduce(act[:, ::-1], axis=1, out=per_sample[..., :b])
-            per_sample[..., b:] = 0.0
+        if not _slab_forms_agree(k, cout, h * w, b, bp):
+            return net_forward(spec, params, x)
+        out = np.empty((c * h * w + 1, bp))
+        feats = out[:-1].reshape(c, -1)
+        taps = idx.reshape(4, -1)
+        acc = wm @ np.take(rows, taps[3], axis=0).reshape(k, -1)
+        # each slab dies with its product, before the next is gathered,
+        # so one slab at a time counts toward a block's peak memory
+        for t, dest in ((2, acc), (1, acc), (0, feats)):
+            np.maximum(acc, wm @ np.take(rows, taps[t], axis=0).reshape(k, -1),
+                       out=dest)
         rows = out
         np.add(feats, bias[:, np.newaxis], out=feats)
         np.maximum(feats, 0.0, out=feats)

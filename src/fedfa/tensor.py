@@ -9,8 +9,8 @@ reductions, reshape, relu and sqrt. Convolution, pooling, the linear head
 and the loss live in ``layers`` as kernel pairs, which ``kernel_node``
 wraps into one node each.
 
-Training does not use the graph: it chains the kernel pairs directly
-(``layers.net_backward``). The graph serves ``theory``, the gradient
+No command or run uses the graph: training and ``theory`` chain the kernel
+pairs directly (``layers.net_backward``). The graph serves the gradient
 checks and the tests' reference for that chain.
 """
 

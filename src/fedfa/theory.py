@@ -18,10 +18,11 @@ import numpy as np
 
 from .augment import draw_eps, noise_view
 from .data import TaskSpec, make_base_sampler
-from .layers import ConvNet, default_net_spec, init_params, softmax_cross_entropy
+from .experiment import batch_grads
+from .layers import (default_net_spec, init_params, net_forward,
+                     softmax_cross_entropy_forward)
 from .rng import stream
 from .stats import batch_variances, channel_stats
-from .tensor import Tensor
 
 RESIDUAL_FLOOR = 1e-13
 EXPONENT_BAND = (1.8, 2.2)  # a fitted residual exponent passes inside it
@@ -40,41 +41,47 @@ class TheoryCheckReport:
         return self.exponent is not None and lo <= self.exponent <= hi
 
 
-def site_gradients(net: ConvNet, x: np.ndarray, y: np.ndarray):
-    """Clean loss and its gradients at every stage output."""
-    logits, stage_outputs = net.forward(Tensor(x))
-    loss = softmax_cross_entropy(logits, y)
-    loss.backward()
-    grads = [t.grad for t in stage_outputs]
-    return float(loss.data), grads
+def site_gradients(spec, params, x: np.ndarray, y: np.ndarray):
+    """Clean loss and its gradients at every stage output, from the training
+    chain; each + 0.0 copy is the graph's ``.grad`` bit for bit."""
+    grads = []
+
+    def back(g):
+        grads.insert(0, g + 0.0)  # the last stage's comes first
+        return g
+
+    loss, _ = batch_grads(spec, params, x, ((y, 1.0),),
+                          [lambda a: (a, back)] * len(spec.stages))
+    return loss, grads
 
 
-def noised_loss(net: ConvNet, x: np.ndarray, y: np.ndarray,
+def noised_loss(spec, params, x: np.ndarray, y: np.ndarray,
                 noises: list[np.ndarray], scale: float) -> float:
-    hooks = [(lambda t, e=e: t + scale * e) if e is not None else None
+    hooks = [(lambda a, e=e: (a + scale * e, None)) if e is not None else None
              for e in noises]
-    logits, _ = net.forward(Tensor(x), hooks=hooks)
-    return float(softmax_cross_entropy(logits, y).data)
+    logits = net_forward(spec, params, x, hooks)
+    return float(softmax_cross_entropy_forward(logits, y)[0])
 
 
-def ffa_noise_source(net: ConvNet, x: np.ndarray,
+def ffa_noise_source(spec, params, x: np.ndarray,
                      seed: int = 0) -> list[np.ndarray]:
     """Unit-scale augmentation noise for every stage, frozen as arrays.
 
     Uses the batch's own statistic variances as the budget, i.e. the
     client-only variant, evaluated at the clean activations.
     """
-    _, stage_outputs = net.forward(Tensor(x))
     noises = []
-    for k, t in enumerate(stage_outputs):
-        act = t.data
-        fused = batch_variances(channel_stats(act))
-        eps = draw_eps(stream(seed, "noise", k), *act.shape[:2])
-        noises.append(noise_view(act, fused, eps))
+
+    def noise(a):
+        eps = draw_eps(stream(seed, "noise", len(noises)), *a.shape[:2])
+        noises.append(noise_view(a, batch_variances(channel_stats(a)), eps))
+        return a, None
+
+    net_forward(spec, params, x, [noise] * len(spec.stages))
     return noises
 
 
-def theory_check(net: ConvNet, batch, noises, scales) -> TheoryCheckReport:
+def theory_check(spec, params, batch, noises, scales) -> TheoryCheckReport:
     """Measure |L(s) - L(0) - s * linear| across noise scales.
 
     noises is a list of per-stage noise arrays (None allowed for a quiet
@@ -85,7 +92,7 @@ def theory_check(net: ConvNet, batch, noises, scales) -> TheoryCheckReport:
     if any(s <= 0 for s in scales):
         raise ValueError("scales must be positive")
 
-    loss0, grads = site_gradients(net, x, y)
+    loss0, grads = site_gradients(spec, params, x, y)
     lin = 0.0
     for g, e in zip(grads, noises):
         if e is not None:
@@ -93,7 +100,7 @@ def theory_check(net: ConvNet, batch, noises, scales) -> TheoryCheckReport:
 
     residuals = []
     for s in scales:
-        ls = noised_loss(net, x, y, noises, s)
+        ls = noised_loss(spec, params, x, y, noises, s)
         if not np.isfinite(ls):
             raise FloatingPointError(f"loss not finite at noise scale {s}")
         residuals.append(abs(ls - loss0 - s * lin))
@@ -117,9 +124,10 @@ def reference_check(seed: int = 0, scales=None) -> TheoryCheckReport:
     if scales is None:
         scales = np.logspace(-1, -4, 7)
     spec = default_net_spec()
-    net = ConvNet(spec, init_params(spec, stream(seed, "init")))
+    params = {k: t.data for k, t in
+              init_params(spec, stream(seed, "init")).items()}
     sampler = make_base_sampler(TaskSpec(), seed)
     x, y = sampler(16, stream(seed, "data", 1))
-    noises = ffa_noise_source(net, x, seed=seed)
-    return theory_check(net, (x, y), noises, scales)
+    noises = ffa_noise_source(spec, params, x, seed=seed)
+    return theory_check(spec, params, (x, y), noises, scales)
 

@@ -14,12 +14,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedfa import experiment
+from fedfa import experiment, theory
 from fedfa.augment import FfaConfig, augment, variant_variances
-from fedfa.layers import NetSpec, StageSpec, default_net_spec, init_params
+from fedfa.data import TaskSpec, make_base_sampler
+from fedfa.layers import (ConvNet, NetSpec, StageSpec, default_net_spec,
+                          init_params, softmax_cross_entropy)
 from fedfa.optim import Sgd
 from fedfa.rng import stream
 from fedfa.stats import MomentumStats, batch_variances, momentum_update
+from fedfa.tensor import Tensor
 
 import reference_kernels
 
@@ -188,6 +191,31 @@ def test_batch_matches_unfused_reference_graph(gates, monkeypatch):
     assert_same_bits(loss, want_loss)
     for k in want:
         assert_same_bits(grads[k], want[k])
+
+
+@pytest.mark.parametrize("net", ["reference", "2ch-4x4"])
+def test_site_gradients_match_graph(net):
+    # the theory check's clean loss and stage-output gradients, on the chain,
+    # against ConvNet.forward and Tensor.backward: values, zero signs and
+    # layout, which sets the order of the linear term's sum
+    if net == "reference":  # reference_check's net and batch
+        spec = default_net_spec()
+        x, y = make_base_sampler(TaskSpec(), 0)(16, stream(0, "data", 1))
+    else:
+        spec = default_net_spec(channels=2, image_size=4, classes=3)
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((4, 2, 4, 4)), rng.integers(0, 3, 4)
+    tparams = init_params(spec, stream(0, "init"))
+    loss, grads = theory.site_gradients(
+        spec, {k: t.data for k, t in tparams.items()}, x, y)
+    logits, stage_outputs = ConvNet(spec, tparams).forward(Tensor(x))
+    want = softmax_cross_entropy(logits, y)
+    want.backward()
+    assert_same_bits(loss, float(want.data))
+    assert len(grads) == len(stage_outputs)
+    for got, t in zip(grads, stage_outputs):
+        assert_same_bits(got, t.grad)
+        assert got.strides == t.grad.strides
 
 
 def test_train_fn_builds_no_tensor(monkeypatch):

@@ -18,10 +18,9 @@ from fedfa.config import ALGORITHMS, DatasetConfig, ExperimentConfig
 from fedfa.experiment import (build_dataset, evaluate, leave_one_out,
                               mixup_batch, run_experiment)
 from fedfa.federation import ClientState
-from fedfa.layers import ConvNet, default_net_spec, init_params
+from fedfa.layers import default_net_spec, init_params
 from fedfa.report import collect_runs, emit_report
 from fedfa.rng import stream
-from fedfa.tensor import Tensor
 from fedfa.theory import reference_check, theory_check
 
 TINY_DS = dict(classes=3, image_size=4, channels=2, noise=0.5,
@@ -435,12 +434,17 @@ def test_evaluate_working_set_stays_cache_sized():
 
 # ------------------------------------------------------------------ theory
 
-def test_theory_zero_noise_exact():
+def theory_net():
     spec = default_net_spec(channels=2, image_size=4, classes=3)
-    net = ConvNet(spec, init_params(spec, stream(0, "init")))
+    params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
+    return spec, params
+
+
+def test_theory_zero_noise_exact():
+    spec, params = theory_net()
     x = np.random.default_rng(0).standard_normal((4, 2, 4, 4))
     y = np.random.default_rng(1).integers(0, 3, size=4)
-    report = theory_check(net, (x, y), [None, None], [0.1, 0.01])
+    report = theory_check(spec, params, (x, y), [None, None], [0.1, 0.01])
     assert report.linear_coefficient == 0.0
     assert report.residuals == [0.0, 0.0]
     assert report.exponent is None
@@ -454,24 +458,48 @@ def test_theory_reference_configuration():
 
 
 def test_theory_rejects_bad_scales():
-    spec = default_net_spec(channels=2, image_size=4, classes=3)
-    net = ConvNet(spec, init_params(spec, stream(0, "init")))
+    spec, params = theory_net()
     x = np.zeros((2, 2, 4, 4))
     y = np.zeros(2, dtype=int)
     with pytest.raises(ValueError, match="positive"):
-        theory_check(net, (x, y), [None, None], [0.1, -0.1])
+        theory_check(spec, params, (x, y), [None, None], [0.1, -0.1])
 
 
 def test_theory_flags_nonfinite_loss():
-    spec = default_net_spec(channels=2, image_size=4, classes=3)
-    net = ConvNet(spec, init_params(spec, stream(0, "init")))
+    spec, params = theory_net()
     x = np.random.default_rng(0).standard_normal((2, 2, 4, 4))
     y = np.zeros(2, dtype=int)
-    _, stage_outputs = net.forward(Tensor(x))
-    bad = np.full_like(stage_outputs[0].data, np.inf)
+    bad = np.full((2, 8, 2, 2), np.inf)  # the first stage's output shape
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError,
                                                   match="noise scale"):
-        theory_check(net, (x, y), [bad, None], [0.5])
+        theory_check(spec, params, (x, y), [bad, None], [0.5])
+
+
+def test_no_library_path_builds_a_graph_node(tmp_path, monkeypatch):
+    # the autodiff graph is the tests' reference only: the theory check,
+    # runs, evaluation's net_forward fallback and the invariants run the
+    # kernel pairs on arrays
+    from fedfa import tensor
+    # the module: the package name fedfa.augment is the function
+    augment = sys.modules["fedfa.augment"]
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a library path built a graph node")
+
+    for module in (layers, augment, tensor):
+        monkeypatch.setattr(module, "kernel_node", no_graph)
+    monkeypatch.setattr(tensor.Tensor, "backward", no_graph)
+    assert reference_check(seed=0).passes()
+    for algorithm in ("fedfa", "fedavg", "mixup"):
+        run_experiment(tiny_cfg(algorithm=algorithm, rounds=2),
+                       run_root=str(tmp_path))
+    # stage 1's slab probe disagrees at 4x4 on 5 samples on SkylakeX, so
+    # net_forward scores the block there
+    spec = default_net_spec(image_size=4)
+    params = {k: t.data for k, t in init_params(spec, stream(0, "init")).items()}
+    x = np.random.default_rng(0).standard_normal((5, 3, 4, 4))
+    assert layers.predict(spec, params, x).shape == (5,)
+    assert main(["check", "invariants"]) == 0
 
 
 # ------------------------------------------------------------------ report
@@ -696,6 +724,11 @@ BAD_CONFIGS = {  # id: (file text, or None for no file; the reason printed)
     "nan-lr": ('{"lr": NaN}', "lr must be finite, got nan"),
     "infinite-noise": ('{"dataset": {"noise": Infinity}}',
                        "noise must be finite, got inf"),
+    # an integer beyond the largest float overflows in training's arithmetic
+    "huge-int-lr": ('{"lr": 1%s}' % ("0" * 400),
+                    "lr must be finite, got 1" + "0" * 400),
+    "huge-int-noise": ('{"dataset": {"noise": 1%s}}' % ("0" * 400),
+                       "noise must be finite, got 1" + "0" * 400),
 }
 
 

@@ -383,8 +383,8 @@ def test_infer_logits_bit_identical_to_net_forward_and_graph(spec, batch,
 
 # stage 1 of both 4x4 nets (K = 72 and K = 144) meets OpenBLAS's
 # small-matrix kernel at many block sizes, not only small ones: there a
-# slab's matmul differs from the whole matrix's and infer_logits falls
-# back to net_forward's call (layers._slab_forms_agree)
+# slab's matmul differs from the whole matrix's and infer_logits returns
+# net_forward's logits (layers._slab_forms_agree)
 K144_SPEC = NetSpec(stages=(StageSpec(3, 16), StageSpec(16, 16)), image_size=4,
                     classes=6)
 SMALL_GEMM_SWEEPS = [(default_net_spec(image_size=4), 130), (K144_SPEC, 130)]
